@@ -1,22 +1,18 @@
-"""Kernel throughput: compiled recursions vs the pre-PR per-timestep loops.
+"""Kernel throughput: the NumPy recursions vs the per-timestep loops they replaced.
 
 Every model family's optimiser objective bottoms out in a sequential
 recursion; this bench times each extracted kernel against an inlined copy
-of the numpy scalar-indexing loop it replaced and reports ns/observation
-for every available backend. The acceptance contract:
+of the numpy scalar-indexing loop it replaced and reports ns/observation.
+The acceptance contract:
 
-* the **numpy** backend is no slower than the legacy loop on every
-  kernel (it hoists per-step dispatch, so it is usually several times
-  faster);
-* the **numba** backend, when the ``perf`` extra is installed, is at
-  least 3x faster than the legacy loop on the two optimiser-dominating
-  kernels (the HES recursion and the TBATS filter). When numba is
-  absent the numba metrics are recorded as ``null`` and the assertion is
-  skipped — the fallback path is exactly what is being measured then.
+* every kernel is no slower than the legacy loop (it hoists per-step
+  dispatch, so it is usually several times faster);
+* batched cohort dispatch is at least 10x faster than per-key calls at
+  batch 256.
 
-Also records one end-to-end ``auto_select`` wall time on the active
-backend, with the trace's kernel counters, so the JSON shows what the
-kernels cost inside the real pipeline rather than in isolation.
+Also records one end-to-end ``auto_select`` wall time, with the trace's
+kernel counters, so the JSON shows what the kernels cost inside the real
+pipeline rather than in isolation.
 
 Results land in ``benchmarks/output/BENCH_kernels.json``. Set
 ``REPRO_REDUCED_GRID=1`` (the CI smoke mode) for a seconds-scale run.
@@ -42,10 +38,6 @@ BENCH_JSON = "BENCH_kernels.json"
 
 #: Best-of-N timing repeats; min is robust to scheduler noise.
 REPEATS = 3 if REDUCED else 7
-
-#: The kernels whose wall time dominates optimiser objectives; these carry
-#: the 3x numba acceptance bar.
-OBJECTIVE_KERNELS = ("ets_recursion", "tbats_filter")
 
 
 def _write_bench_json(section: str, payload: dict) -> None:
@@ -287,54 +279,36 @@ def _cases() -> dict:
 
 
 def test_kernel_throughput_vs_legacy_loops():
-    cases = _cases()
-    restore = kernels.active_backend()
     rows = {}
-    try:
-        for name, (legacy, kernel, args, n_obs) in cases.items():
-            entry = {"n_obs": n_obs, "legacy_ns_per_obs": None,
-                     "numpy_ns_per_obs": None, "numba_ns_per_obs": None}
-            entry["legacy_ns_per_obs"] = _best_of(legacy, *args) / n_obs * 1e9
-            for backend in kernels.available_backends():
-                kernels.set_backend(backend)
-                kernels.ensure_warm()  # JIT outside the timed region
-                entry[f"{backend}_ns_per_obs"] = _best_of(kernel, *args) / n_obs * 1e9
-            rows[name] = entry
-    finally:
-        kernels.set_backend(restore)
-        kernels.ensure_warm()
+    for name, (legacy, kernel, args, n_obs) in _cases().items():
+        rows[name] = {
+            "n_obs": n_obs,
+            "legacy_ns_per_obs": _best_of(legacy, *args) / n_obs * 1e9,
+            "numpy_ns_per_obs": _best_of(kernel, *args) / n_obs * 1e9,
+        }
 
     table = Table(
-        ["Kernel", "n_obs", "legacy ns/obs", "numpy ns/obs", "numba ns/obs", "best speedup"],
+        ["Kernel", "n_obs", "legacy ns/obs", "numpy ns/obs", "speedup"],
         title=f"Kernel throughput (best of {REPEATS})",
     )
     for name, e in rows.items():
-        candidates = [v for v in (e["numpy_ns_per_obs"], e["numba_ns_per_obs"]) if v]
-        speedup = e["legacy_ns_per_obs"] / min(candidates)
         table.add_row([
             name, str(e["n_obs"]),
             f"{e['legacy_ns_per_obs']:.1f}", f"{e['numpy_ns_per_obs']:.1f}",
-            "-" if e["numba_ns_per_obs"] is None else f"{e['numba_ns_per_obs']:.1f}",
-            f"{speedup:.2f}x",
+            f"{e['legacy_ns_per_obs'] / e['numpy_ns_per_obs']:.2f}x",
         ])
     print()
     table.print()
 
     _write_bench_json(
         "kernel_throughput",
-        {"backend_default": restore, "numba_available": kernels.NUMBA_AVAILABLE,
-         "repeats": REPEATS, "reduced": REDUCED, "kernels": rows},
+        {"repeats": REPEATS, "reduced": REDUCED, "kernels": rows},
     )
 
-    # NumPy fallback must never regress below the loops it replaced
+    # The kernels must never regress below the loops they replaced
     # (10 % timing-noise allowance).
     for name, e in rows.items():
         assert e["numpy_ns_per_obs"] <= e["legacy_ns_per_obs"] * 1.10, name
-    # The compiled backend carries the 3x bar on the optimiser kernels.
-    if kernels.NUMBA_AVAILABLE:
-        for name in OBJECTIVE_KERNELS:
-            ratio = rows[name]["legacy_ns_per_obs"] / rows[name]["numba_ns_per_obs"]
-            assert ratio >= 3.0, f"{name}: numba only {ratio:.2f}x vs legacy"
 
 
 def test_batched_dispatch_amortisation():
@@ -344,7 +318,7 @@ def test_batched_dispatch_amortisation():
     windows) across hundreds of keys every tick, so the workload shape
     is many rows x few observations — exactly where per-call dispatch
     overhead dominates and the batched entry points earn their keep.
-    The acceptance bar: >= 10x at batch 256 on the numpy backend.
+    The acceptance bar: >= 10x at batch 256.
     """
     n = 2  # a realistic incremental-roll block (1-2 closed windows), not a refit
     period = 24
@@ -374,30 +348,23 @@ def test_batched_dispatch_amortisation():
             y, True, 1, period, alpha, beta, gamma, phi, level0, trend0, seasonal0
         )
 
-    restore = kernels.active_backend()
     rows = {}
-    try:
-        kernels.set_backend("numpy")
-        kernels.ensure_warm()
-        for B in batches:
-            args = _rows(B)
-            # The whole sweep is sub-millisecond, so extra repeats cost
-            # nothing and keep the 10x bar out of scheduler-noise range.
-            per_key = _best_of(_per_key, *args, repeats=15)
-            batched = _best_of(_batched, *args, repeats=15)
-            n_obs = B * n
-            rows[str(B)] = {
-                "per_key_ns_per_obs": per_key / n_obs * 1e9,
-                "batched_ns_per_obs": batched / n_obs * 1e9,
-                "speedup": per_key / batched,
-            }
-    finally:
-        kernels.set_backend(restore)
-        kernels.ensure_warm()
+    for B in batches:
+        args = _rows(B)
+        # The whole sweep is sub-millisecond, so extra repeats cost
+        # nothing and keep the 10x bar out of scheduler-noise range.
+        per_key = _best_of(_per_key, *args, repeats=15)
+        batched = _best_of(_batched, *args, repeats=15)
+        n_obs = B * n
+        rows[str(B)] = {
+            "per_key_ns_per_obs": per_key / n_obs * 1e9,
+            "batched_ns_per_obs": batched / n_obs * 1e9,
+            "speedup": per_key / batched,
+        }
 
     table = Table(
         ["Batch", "per-key ns/obs", "batched ns/obs", "speedup"],
-        title=f"Cohort dispatch amortisation (ets_recursion, n={n}, numpy)",
+        title=f"Cohort dispatch amortisation (ets_recursion, n={n})",
     )
     for B in batches:
         e = rows[str(B)]
@@ -442,7 +409,6 @@ def test_auto_select_end_to_end_wall_time():
     counters = outcome.trace.counters if outcome.trace else {}
     kernel_counters = {k: v for k, v in counters.items() if k.startswith("kernel_")}
     payload = {
-        "backend": kernels.active_backend(),
         "wall_seconds": wall,
         "n_evaluated": outcome.n_evaluated,
         "technique": outcome.technique,
@@ -451,11 +417,11 @@ def test_auto_select_end_to_end_wall_time():
     _write_bench_json("auto_select_end_to_end", payload)
 
     table = Table(
-        ["Backend", "Wall (s)", "Candidates", "Kernel dispatches"],
+        ["Wall (s)", "Candidates", "Kernel dispatches"],
         title="End-to-end auto_select",
     )
     dispatches = int(sum(v for k, v in kernel_counters.items() if k.endswith("_calls")))
-    table.add_row([kernels.active_backend(), f"{wall:.2f}", str(outcome.n_evaluated), str(dispatches)])
+    table.add_row([f"{wall:.2f}", str(outcome.n_evaluated), str(dispatches)])
     print()
     table.print()
     assert dispatches > 0  # the pipeline actually went through the kernels

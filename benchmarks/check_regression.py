@@ -1,18 +1,23 @@
-"""Bench-regression gate: compare fresh BENCH JSON against committed baselines.
+"""Bench-regression gate: compare fresh BENCH JSON against a base-commit baseline.
 
 CI's ``bench-smoke`` job runs the benchmark suites (which write
-``benchmarks/output/BENCH_*.json`` in place), then calls this script with
-the *committed* copies stashed aside as the baseline::
+``benchmarks/output/BENCH_*.json``), then compares them with the
+``BENCH_*.json`` set produced at the PR's base commit::
 
     python benchmarks/check_regression.py \
         --baseline /tmp/bench-baseline --fresh benchmarks/output
 
+The baseline is not committed. Every push to ``main`` runs the same
+benches and saves its results to the actions cache under a key holding
+that commit's SHA. A PR restores the entry keyed by its base SHA, falling
+back to the newest ``main`` entry when the base has not been benched yet.
+
 A headline metric regresses when it moves against its direction by more
 than ``--max-regression`` (default 25%): lower-is-better metrics fail at
 ``fresh > baseline * 1.25``, higher-is-better at ``fresh < baseline / 1.25``.
-Missing baseline files or metrics are skipped with a note (new benchmarks
-must not fail the gate before their first committed baseline); missing
-*fresh* files fail, because that means the bench run itself broke.
+Missing baseline files or metrics are skipped with a note (a cold cache
+or a new benchmark must not fail the gate); missing *fresh* files fail,
+because that means the bench run itself broke.
 
 The gate can be bypassed on a PR with the ``skip-bench-gate`` label (see
 ``.github/workflows/ci.yml``) — for intentional trade-offs, with the
@@ -87,7 +92,7 @@ def check(baseline_dir: Path, fresh_dir: Path, max_regression: float) -> int:
         base_doc = load(baseline_dir, name)
         base = lookup(base_doc, dotted) if base_doc is not None else None
         if not isinstance(base, (int, float)) or base <= 0:
-            print(f"skip  {name}:{dotted} — no committed baseline (fresh={fresh:.4g})")
+            print(f"skip  {name}:{dotted} — no baseline (fresh={fresh:.4g})")
             continue
         if direction == "lower":
             limit = base * (1.0 + max_regression)
@@ -111,7 +116,7 @@ def check(baseline_dir: Path, fresh_dir: Path, max_regression: float) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--baseline", required=True, type=Path, help="directory holding committed BENCH_*.json"
+        "--baseline", required=True, type=Path, help="directory holding the base commit's BENCH_*.json"
     )
     parser.add_argument(
         "--fresh", required=True, type=Path, help="directory holding freshly produced BENCH_*.json"

@@ -291,6 +291,8 @@ def _cmd_plan(args, parser) -> int:
     )
     from .shard.ring import HashRing
 
+    if args.shards < 1:
+        parser.error(f"--shards must be at least 1, got {args.shards}")
     thresholds = _parse_thresholds(args.threshold, parser)
     if not thresholds:
         parser.error("at least one --threshold METRIC=VALUE is required")
@@ -300,8 +302,7 @@ def _cmd_plan(args, parser) -> int:
     # partition it; per-key selection is deterministic and
     # partition-independent, and demands are merged sorted, so the plan
     # bytes are identical for every --shards value.
-    shards = max(1, args.shards)
-    ring = HashRing(shards)
+    ring = HashRing(args.shards)
     executor = default_executor(args.jobs)
     planners = [
         EstatePlanner(
@@ -313,7 +314,7 @@ def _cmd_plan(args, parser) -> int:
             ),
             executor=executor,
         )
-        for _ in range(shards)
+        for _ in range(args.shards)
     ]
     registered = 0
     with MetricsRepository(args.db) as repo:
@@ -360,6 +361,8 @@ def _cmd_stream(args, parser) -> int:
     from .service import SelectionCache
     from .stream import ConsoleSink, StreamConfig, StreamRuntime
 
+    if args.shards < 0:
+        parser.error(f"--shards must be 0 (single process) or more, got {args.shards}")
     thresholds = _parse_thresholds(args.threshold, parser)
     metrics = [m.strip() for m in args.metric] if args.metric else ["cpu"]
     if args.experiment == "olap":
@@ -455,6 +458,8 @@ def _cmd_stream(args, parser) -> int:
 def _cmd_chaos(args, parser) -> int:
     from .faults.scenarios import SCENARIOS, run_scenario
 
+    if args.shards < 0:
+        parser.error(f"--shards must be 0 (single process) or more, got {args.shards}")
     if args.list:
         for name in sorted(SCENARIOS):
             print(f"{name}: {SCENARIOS[name].description}")

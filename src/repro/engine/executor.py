@@ -279,17 +279,17 @@ def _run_captured(fn: Callable, task, index: int) -> TaskReport:
 
 
 #: Last kernel-counter snapshot this worker reported back to the parent.
-#: ``None`` means "never reported": the first chunk then ships the whole
-#: process history, which is what charges pool-init warm-compilation to
-#: the run that created the pool instead of losing it.
-_KERNEL_REPORTED: dict[str, float] | None = None
+#: The initializer seeds it, so a forked worker's first report covers
+#: only its own work, not the counters it inherited from the parent.
+_KERNEL_REPORTED: dict[str, float] = {}
 
 
 def _pool_worker_init() -> None:
-    """Pool-worker initializer: JIT-compile every kernel before the first task."""
+    """Pool-worker initializer: take the worker's kernel-counter baseline."""
+    global _KERNEL_REPORTED
     from . import kernels as engine_kernels
 
-    engine_kernels.warm_worker_init()
+    _KERNEL_REPORTED = engine_kernels.snapshot()
 
 
 def _drain_worker_kernel_delta() -> dict[str, float]:
@@ -298,10 +298,7 @@ def _drain_worker_kernel_delta() -> dict[str, float]:
     from . import kernels as engine_kernels
 
     now = engine_kernels.snapshot()
-    if _KERNEL_REPORTED is None:
-        moved = {key: value for key, value in now.items() if value}
-    else:
-        moved = engine_kernels.delta(_KERNEL_REPORTED, now)
+    moved = engine_kernels.delta(_KERNEL_REPORTED, now)
     _KERNEL_REPORTED = now
     return moved
 
@@ -312,8 +309,8 @@ def _run_chunk(
     """Worker-side entry point: run one chunk of (index, task) pairs.
 
     Returns the task reports plus this worker's kernel-counter delta, so
-    compiled-kernel telemetry rides the existing result channel instead
-    of needing a second IPC round.
+    kernel telemetry rides the existing result channel instead of needing
+    a second IPC round.
     """
     reports = [_run_captured(fn, task, index) for index, task in chunk]
     return reports, _drain_worker_kernel_delta()
@@ -529,11 +526,6 @@ class SerialExecutor(Executor):
         return PayloadRef(key=key, path=None, nbytes=len(blob))
 
     def _execute(self, fn: Callable, pairs: list[tuple[int, object]]) -> list[TaskReport]:
-        # Match pool semantics: kernels are warm before the first task runs
-        # (for numpy backends this is a microsecond no-op after the first call).
-        from . import kernels as engine_kernels
-
-        engine_kernels.warm_worker_init()
         reports = []
         for index, task in pairs:
             report = _run_captured(fn, task, index)

@@ -1,17 +1,13 @@
-"""Engine-side kernel registry: warm-up wiring and counter transport.
+"""Engine-side kernel registry: counter transport across processes.
 
-:mod:`repro.models.kernels` owns the compiled recursions and their
+:mod:`repro.models.kernels` owns the numeric recursions and their
 per-process call/time counters; this module is the thin seam that the
 execution engine uses to talk to them without the models layer ever
-importing the engine:
-
-* :func:`warm_worker_init` is the picklable ``ProcessPoolExecutor``
-  initializer — each pool worker JIT-compiles (or cache-loads) every
-  kernel once at spawn, so compilation never lands inside a timed task.
-* :func:`snapshot` / :func:`delta` / :func:`absorb_delta` move the
-  monotonic kernel counters across process boundaries and fold them into
-  :class:`~repro.engine.telemetry.RunTrace` counters, where they surface
-  through ``CapacityPlanner.telemetry()`` and the CLI.
+importing the engine. :func:`snapshot` / :func:`delta` /
+:func:`absorb_delta` move the monotonic kernel counters across process
+boundaries and fold them into :class:`~repro.engine.telemetry.RunTrace`
+counters, where they surface through ``CapacityPlanner.telemetry()`` and
+the CLI.
 
 Counting policy (who absorbs what, so nothing is counted twice):
 
@@ -21,6 +17,8 @@ Counting policy (who absorbs what, so nothing is counted twice):
 * Pool workers report their delta piggybacked on each completed chunk;
   :class:`PoolExecutor` accumulates those, and the grid scorer drains
   them into the active trace (they are invisible to the parent snapshot).
+  A worker's baseline is the snapshot taken in its initializer, so a
+  forked worker never re-reports the counters it inherited.
 
 The registry carries a batch-size dimension: every batched kernel in
 :data:`BATCHED_KERNEL_NAMES` reports ``kernel_<name>_rows`` next to the
@@ -35,8 +33,6 @@ from ..models.kernels import BATCHED_KERNEL_NAMES, KERNEL_NAMES
 
 __all__ = [
     "active_backend",
-    "available_backends",
-    "warm_worker_init",
     "snapshot",
     "delta",
     "absorb_delta",
@@ -46,17 +42,8 @@ __all__ = [
 
 
 def active_backend() -> str:
-    """Backend every kernel in this process dispatches to."""
-    return _kernels.active_backend()
-
-
-def available_backends() -> tuple[str, ...]:
-    return _kernels.available_backends()
-
-
-def warm_worker_init() -> None:
-    """Pool-worker initializer: compile every kernel before the first task."""
-    _kernels.ensure_warm()
+    """Name of the kernel implementation, recorded in run traces."""
+    return "numpy"
 
 
 def snapshot() -> dict[str, float]:

@@ -421,7 +421,7 @@ def run_pipeline(
         train=train,
         test=test,
     )
-    # Compiled-kernel telemetry: everything this process runs is the delta
+    # Kernel telemetry: everything this process runs is the delta
     # around the stage loop; pool workers report their own deltas through
     # the executor (absorbed at each grid round).
     kernel_before = engine_kernels.snapshot()

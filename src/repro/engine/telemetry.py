@@ -61,7 +61,7 @@ class RunTrace:
         entry first.
     info:
         Small string facts about the run environment — e.g.
-        ``kernel_backend`` (``"numpy"`` or ``"numba"``), recorded by the
+        ``kernel_backend`` (always ``"numpy"``), recorded by the
         pipeline alongside the ``kernel_<name>_calls`` / ``_us`` counters.
     faults:
         The fault plane's block: injected faults by kind
@@ -186,12 +186,11 @@ class RunTrace:
         return lines
 
     def _kernel_line(self) -> str:
-        """One line of compiled-kernel activity, or "" when none was traced."""
+        """One line of kernel activity, or "" when none was traced."""
         calls = {
             key[len("kernel_") : -len("_calls")]: value
             for key, value in self.counters.items()
-            if key.startswith("kernel_") and key.endswith("_calls")
-            and key != "kernel_calls_before_warm" and value
+            if key.startswith("kernel_") and key.endswith("_calls") and value
         }
         if not calls:
             return ""

@@ -40,7 +40,7 @@ __all__ = [
 _BOUND = (1e-4, 0.9999)
 _PHI_BOUND = (0.8, 0.998)
 
-#: Seasonal component encoding used by the compiled recursion kernel.
+#: Seasonal component encoding used by the recursion kernel.
 _SEASONAL_MODE = {None: 0, "add": 1, "mul": 2}
 
 

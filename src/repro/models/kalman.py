@@ -118,7 +118,7 @@ def kalman_loglike(
     RRt = np.outer(R, R)
 
     # The per-timestep filter loop (innovation → update → predict) lives in
-    # the compiled kernel; Z picks the first state component.
+    # the kernel; Z picks the first state component.
     sum_sq, sum_logF, ok = kernels.kalman_filter(y, T, RRt, P)
     if not ok:
         return -np.inf, np.nan

@@ -1,37 +1,24 @@
-"""Compiled numeric kernels: the per-timestep recursions, at hardware speed.
+"""Numeric kernels: the per-timestep recursions behind every model fit.
 
 Every model family in this package bottoms out in a sequential recursion
 that L-BFGS evaluates hundreds of times per fit: the exponential-smoothing
 error-correction pass (HES), the TBATS trigonometric filter, the exact-MLE
 Kalman filter, and the forecast/bootstrap simulation paths. This module
-extracts each of those loops into a pure function over plain ndarrays and
-scalars with two interchangeable backends:
+extracts each of those loops into a pure NumPy function over plain
+ndarrays and scalars. Recurrences that allow it are vectorized (bootstrap
+simulation is broadcast across all paths at once; the bootstrap band is
+one Toeplitz mat-mul); the inherently sequential filters run as tight
+scalar loops with all per-step dispatch (string compares, tiny-ndarray
+temporaries, ``np.roll``) hoisted out, which is already several times
+faster than the loops they replace.
 
-* ``numpy`` — the reference implementation. Recurrences that allow it are
-  vectorized (bootstrap simulation is broadcast across all paths at once;
-  the bootstrap band is one Toeplitz mat-mul); the inherently sequential
-  filters run as tight scalar loops with all per-step dispatch (string
-  compares, tiny-ndarray temporaries, ``np.roll``) hoisted out, which is
-  already several times faster than the loops they replace.
-* ``numba`` — optional ``@njit(cache=True)`` variants of the same
-  functions. numba is **never** a hard dependency: it is the ``perf``
-  extra in ``pyproject.toml``, and when it is absent (or fails to import)
-  the numpy backend is used silently.
+The parity suite in ``tests/models/test_kernels.py`` enforces ≤1e-9
+relative agreement against inlined reference loops and identical guard
+behaviour on non-finite input.
 
-Backend selection happens once at import from ``REPRO_KERNEL_BACKEND``
-(``auto`` | ``numpy`` | ``numba``; default ``auto`` = numba when
-available) and can be switched at runtime with :func:`set_backend`.
-
-Both backends implement identical arithmetic in identical order, so
-results agree to the last ulp on finite inputs; the parity suite in
-``tests/models/test_kernels.py`` enforces ≤1e-9 relative agreement
-against inlined reference loops, identical grid winners, and identical
-guard behaviour on non-finite input.
-
-Every dispatch is counted and timed (:func:`stats_snapshot`), and
-:func:`warm_compile` runs each active kernel once on tiny inputs so JIT
-compilation cost is paid at pool-worker init, never inside a timed task
-(:mod:`repro.engine.kernels` wires this into the executor layer).
+Every dispatch is counted and timed (:func:`stats_snapshot`);
+:mod:`repro.engine.kernels` carries those counters across process
+boundaries into the run trace.
 
 Guard semantics: the scalar reference loops run on Python floats, where
 overflow raises instead of yielding ``inf``. Each kernel catches that and
@@ -43,7 +30,6 @@ way and apply their usual penalty.
 from __future__ import annotations
 
 import math
-import os
 import time
 
 import numpy as np
@@ -51,13 +37,6 @@ import numpy as np
 __all__ = [
     "KERNEL_NAMES",
     "BATCHED_KERNEL_NAMES",
-    "NUMBA_AVAILABLE",
-    "active_backend",
-    "available_backends",
-    "set_backend",
-    "warm_compile",
-    "ensure_warm",
-    "is_warmed",
     "stats_snapshot",
     "ets_recursion",
     "ets_mul_paths",
@@ -73,8 +52,6 @@ __all__ = [
     "arma_forecast_batch",
     "bootstrap_deviations_batch",
 ]
-
-BACKEND_ENV = "REPRO_KERNEL_BACKEND"
 
 KERNEL_NAMES = (
     "ets_recursion",
@@ -99,16 +76,8 @@ BATCHED_KERNEL_NAMES = (
     "bootstrap_deviations_batch",
 )
 
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit as _njit
-
-    NUMBA_AVAILABLE = True
-except Exception:  # ImportError, or a broken numba install
-    NUMBA_AVAILABLE = False
-
-
 # ---------------------------------------------------------------------------
-# NumPy backend
+# Per-key kernels
 # ---------------------------------------------------------------------------
 def _ets_recursion_numpy(
     y, use_trend, seasonal_mode, period, alpha, beta, gamma, phi, level0, trend0, seasonal0
@@ -412,7 +381,7 @@ def _bootstrap_deviations_numpy(psi, shocks):
 
 
 # ---------------------------------------------------------------------------
-# Batched (structure-of-arrays) NumPy backend
+# Batched (structure-of-arrays) kernels
 #
 # Each batched kernel advances B independent series through the same
 # per-timestep recursion as its per-key sibling, with the batch laid out
@@ -430,7 +399,7 @@ def _bootstrap_deviations_numpy(psi, shocks):
 #   taken verbatim, so overflow handling (saturate vs. raise) can never
 #   diverge between the two code paths.
 #
-# Reductions with backend-dependent summation order (BLAS dot products in
+# Reductions whose summation order would change if vectorised (BLAS dot products in
 # the Kalman and ARMA kernels, ``math.log``) are *not* vectorised across
 # the batch: those two kernels delegate per row, and batching only
 # amortises the dispatch/validation overhead.
@@ -732,7 +701,7 @@ def _bootstrap_deviations_batch_numpy(psi, shocks):
     return shocks @ weights
 
 
-_NUMPY_IMPLS = {
+_IMPL = {
     "ets_recursion": _ets_recursion_numpy,
     "ets_mul_paths": _ets_mul_paths_numpy,
     "tbats_filter": _tbats_filter_numpy,
@@ -750,373 +719,8 @@ _NUMPY_IMPLS = {
 
 
 # ---------------------------------------------------------------------------
-# numba backend (optional)
+# Instrumentation
 # ---------------------------------------------------------------------------
-_NUMBA_IMPLS: dict = {}
-
-if NUMBA_AVAILABLE:  # pragma: no cover - exercised only where numba is installed
-
-    @_njit(cache=True)
-    def _ets_recursion_nb(
-        y, use_trend, seasonal_mode, period, alpha, beta, gamma, phi, level0, trend0, seasonal0
-    ):
-        n = y.size
-        seas = seasonal0.copy()
-        errors = np.empty(n)
-        level = level0
-        trend = trend0
-        for t in range(n):
-            dt = phi * trend if use_trend else 0.0
-            yt = y[t]
-            if seasonal_mode == 1:
-                s_idx = t % period
-                s = seas[s_idx]
-                errors[t] = yt - (level + dt + s)
-                prev = level
-                level = alpha * (yt - s) + (1.0 - alpha) * (prev + dt)
-                seas[s_idx] = gamma * (yt - prev - dt) + (1.0 - gamma) * s
-            elif seasonal_mode == 2:
-                s_idx = t % period
-                s = seas[s_idx]
-                errors[t] = yt - (level + dt) * s
-                prev = level
-                denom = s if abs(s) > 1e-12 else 1e-12
-                level = alpha * (yt / denom) + (1.0 - alpha) * (prev + dt)
-                base = prev + dt
-                if abs(base) <= 1e-12:
-                    base = 1e-12
-                seas[s_idx] = gamma * (yt / base) + (1.0 - gamma) * s
-            else:
-                errors[t] = yt - (level + dt)
-                prev = level
-                level = alpha * yt + (1.0 - alpha) * (prev + dt)
-            if use_trend:
-                trend = beta * (level - prev) + (1.0 - beta) * dt
-        return errors, level, trend, seas
-
-    @_njit(cache=True)
-    def _ets_mul_paths_nb(
-        level0, trend0, seasonal0, alpha, beta, gamma, phi, use_trend, period, start_index, shocks
-    ):
-        n_paths, horizon = shocks.shape
-        sims = np.empty((n_paths, horizon))
-        for i in range(n_paths):
-            level = level0
-            trend = trend0
-            seas = seasonal0.copy()
-            for h in range(horizon):
-                dt = phi * trend if use_trend else 0.0
-                s_idx = (start_index + h) % period
-                s = seas[s_idx]
-                value = (level + dt) * s + shocks[i, h]
-                prev = level
-                denom = s if abs(s) > 1e-12 else 1e-12
-                level = alpha * (value / denom) + (1.0 - alpha) * (prev + dt)
-                base = prev + dt
-                if abs(base) <= 1e-12:
-                    base = 1e-12
-                seas[s_idx] = gamma * (value / base) + (1.0 - gamma) * s
-                if use_trend:
-                    trend = beta * (level - prev) + (1.0 - beta) * dt
-                sims[i, h] = value
-        return sims
-
-    @_njit(cache=True)
-    def _tbats_filter_nb(
-        y, alpha, beta, phi, use_trend, rot, gamma_vec, ar, ma, level0, trend0, z0, d0, e0
-    ):
-        n = y.size
-        k = z0.size
-        p = ar.size
-        q = ma.size
-        z = z0.copy()
-        d_hist = d0.copy()
-        e_hist = e0.copy()
-        level = level0
-        trend = trend0
-        innov = np.empty(n)
-        for t in range(n):
-            seasonal = 0.0
-            for i in range(k):
-                seasonal += z[i].real
-            d_pred = 0.0
-            for i in range(p):
-                d_pred += ar[i] * d_hist[i]
-            for i in range(q):
-                d_pred += ma[i] * e_hist[i]
-            e = y[t] - (level + phi * trend + seasonal + d_pred)
-            d = d_pred + e
-            innov[t] = e
-            prev = level
-            level = prev + phi * trend + alpha * d
-            if use_trend:
-                trend = phi * trend + beta * d
-            for i in range(k):
-                z[i] = rot[i] * z[i] + gamma_vec[i] * d
-            for i in range(p - 1, 0, -1):
-                d_hist[i] = d_hist[i - 1]
-            if p:
-                d_hist[0] = d
-            for i in range(q - 1, 0, -1):
-                e_hist[i] = e_hist[i - 1]
-            if q:
-                e_hist[0] = e
-        return innov, level, trend, z, d_hist, e_hist
-
-    @_njit(cache=True)
-    def _tbats_paths_nb(
-        alpha, beta, phi, use_trend, rot, gamma_vec, ar, ma, level0, trend0, z0, d0, e0, shocks
-    ):
-        n_paths, horizon = shocks.shape
-        k = z0.size
-        p = ar.size
-        q = ma.size
-        out = np.empty((n_paths, horizon))
-        for i in range(n_paths):
-            level = level0
-            trend = trend0
-            z = z0.copy()
-            d_hist = d0.copy()
-            e_hist = e0.copy()
-            for h in range(horizon):
-                seasonal = 0.0
-                for j in range(k):
-                    seasonal += z[j].real
-                d_pred = 0.0
-                for j in range(p):
-                    d_pred += ar[j] * d_hist[j]
-                for j in range(q):
-                    d_pred += ma[j] * e_hist[j]
-                e = shocks[i, h]
-                d = d_pred + e
-                out[i, h] = level + phi * trend + seasonal + d
-                prev = level
-                level = prev + phi * trend + alpha * d
-                if use_trend:
-                    trend = phi * trend + beta * d
-                for j in range(k):
-                    z[j] = rot[j] * z[j] + gamma_vec[j] * d
-                for j in range(p - 1, 0, -1):
-                    d_hist[j] = d_hist[j - 1]
-                if p:
-                    d_hist[0] = d
-                for j in range(q - 1, 0, -1):
-                    e_hist[j] = e_hist[j - 1]
-                if q:
-                    e_hist[0] = e
-        return out
-
-    @_njit(cache=True)
-    def _kalman_filter_nb(y, T, RRt, P0):
-        n = y.size
-        m = T.shape[0]
-        a = np.zeros(m)
-        P = P0.copy()
-        K = np.empty(m)
-        row = np.empty(m)
-        na = np.empty(m)
-        TP = np.empty((m, m))
-        sum_sq = 0.0
-        sum_logF = 0.0
-        for t in range(n):
-            F = P[0, 0]
-            if not (1e-300 < F < np.inf):
-                return np.inf, np.inf, False
-            v = y[t] - a[0]
-            sum_sq += v * v / F
-            sum_logF += math.log(F)
-            for i in range(m):
-                K[i] = P[i, 0] / F
-                row[i] = P[0, i]
-            for i in range(m):
-                a[i] += K[i] * v
-                for j in range(m):
-                    P[i, j] -= K[i] * row[j]
-            for i in range(m):
-                acc = 0.0
-                for j in range(m):
-                    acc += T[i, j] * a[j]
-                na[i] = acc
-            for i in range(m):
-                a[i] = na[i]
-            for i in range(m):
-                for j in range(m):
-                    acc = 0.0
-                    for r in range(m):
-                        acc += T[i, r] * P[r, j]
-                    TP[i, j] = acc
-            for i in range(m):
-                for j in range(m):
-                    acc = 0.0
-                    for r in range(m):
-                        acc += TP[i, r] * T[j, r]
-                    P[i, j] = acc + RRt[i, j]
-            for i in range(m):
-                for j in range(i, m):
-                    s = 0.5 * (P[i, j] + P[j, i])
-                    P[i, j] = s
-                    P[j, i] = s
-        return sum_sq, sum_logF, True
-
-    @_njit(cache=True)
-    def _arma_forecast_nb(full_ar, ma_full, history, recent_e, c_star, horizon):
-        L = full_ar.size - 1
-        q_full = ma_full.size - 1
-        n_e = recent_e.size
-        buf = np.empty(L + horizon)
-        for i in range(L):
-            buf[i] = history[i]
-        mean = np.empty(horizon)
-        for h in range(horizon):
-            acc = c_star
-            for k in range(1, L + 1):
-                acc -= full_ar[k] * buf[L + h - k]
-            for j in range(h + 1, q_full + 1):
-                idx = n_e + h - j
-                if 0 <= idx < n_e:
-                    acc += ma_full[j] * recent_e[idx]
-            buf[L + h] = acc
-            mean[h] = acc
-        return mean
-
-    @_njit(cache=True)
-    def _bootstrap_deviations_nb(psi, shocks):
-        n_paths, horizon = shocks.shape
-        out = np.empty((n_paths, horizon))
-        for i in range(n_paths):
-            for h in range(horizon):
-                acc = 0.0
-                for j in range(h + 1):
-                    acc += psi[h - j] * shocks[i, j]
-                out[i, h] = acc
-        return out
-
-    # Batched numba leg: the compiled per-key kernel stays the unit of
-    # work — a thin Python loop walks the batch axis and calls it per
-    # row. That makes batch/per-key bit-identity true by construction on
-    # this backend (identical machine code runs either way); the batch
-    # call amortises the wrapper's validation/conversion/counter overhead,
-    # which is the dominant per-call cost once the loops are compiled.
-    def _ets_recursion_batch_nb(
-        y, use_trend, seasonal_mode, period, alpha, beta, gamma, phi, level0, trend0, seasonal0
-    ):
-        B, n = y.shape
-        errors = np.empty((B, n))
-        level = np.empty(B)
-        trend = np.empty(B)
-        seas = np.empty_like(seasonal0)
-        for b in range(B):
-            e_b, l_b, t_b, s_b = _ets_recursion_nb(
-                y[b], use_trend, seasonal_mode, period,
-                alpha[b], beta[b], gamma[b], phi[b],
-                level0[b], trend0[b], seasonal0[b],
-            )
-            errors[b] = e_b
-            level[b] = l_b
-            trend[b] = t_b
-            seas[b] = s_b
-        return errors, level, trend, seas
-
-    def _ets_mul_paths_batch_nb(
-        level0, trend0, seasonal0, alpha, beta, gamma, phi, use_trend, period, start_index, shocks
-    ):
-        B = shocks.shape[0]
-        sims = np.empty_like(shocks)
-        for b in range(B):
-            sims[b] = _ets_mul_paths_nb(
-                level0[b], trend0[b], seasonal0[b],
-                alpha[b], beta[b], gamma[b], phi[b],
-                use_trend, period, start_index[b], shocks[b],
-            )
-        return sims
-
-    def _tbats_filter_batch_nb(
-        y, alpha, beta, phi, use_trend, rot, gamma_vec, ar, ma, level0, trend0, z0, d0, e0
-    ):
-        B, n = y.shape
-        innov = np.empty((B, n))
-        level = np.empty(B)
-        trend = np.empty(B)
-        z = np.empty_like(z0)
-        d_hist = np.empty_like(d0)
-        e_hist = np.empty_like(e0)
-        for b in range(B):
-            i_b, l_b, t_b, z_b, d_b, e_b = _tbats_filter_nb(
-                y[b], alpha[b], beta[b], phi[b], use_trend,
-                rot[b], gamma_vec[b], ar[b], ma[b],
-                level0[b], trend0[b], z0[b], d0[b], e0[b],
-            )
-            innov[b] = i_b
-            level[b] = l_b
-            trend[b] = t_b
-            z[b] = z_b
-            d_hist[b] = d_b
-            e_hist[b] = e_b
-        return innov, level, trend, z, d_hist, e_hist
-
-    def _kalman_filter_batch_nb(y, T, RRt, P0):
-        B = y.shape[0]
-        sum_sq = np.empty(B)
-        sum_logF = np.empty(B)
-        ok = np.empty(B, dtype=np.bool_)
-        for b in range(B):
-            sum_sq[b], sum_logF[b], ok[b] = _kalman_filter_nb(y[b], T[b], RRt[b], P0[b])
-        return sum_sq, sum_logF, ok
-
-    def _arma_forecast_batch_nb(full_ar, ma_full, history, recent_e, c_star, horizon):
-        B = full_ar.shape[0]
-        mean = np.empty((B, horizon))
-        for b in range(B):
-            mean[b] = _arma_forecast_nb(
-                full_ar[b], ma_full[b], history[b], recent_e[b], c_star[b], horizon
-            )
-        return mean
-
-    def _bootstrap_deviations_batch_nb(psi, shocks):
-        B = psi.shape[0]
-        out = np.empty_like(shocks)
-        for b in range(B):
-            out[b] = _bootstrap_deviations_nb(psi[b], shocks[b])
-        return out
-
-    _NUMBA_IMPLS = {
-        "ets_recursion": _ets_recursion_nb,
-        "ets_mul_paths": _ets_mul_paths_nb,
-        "tbats_filter": _tbats_filter_nb,
-        "tbats_paths": _tbats_paths_nb,
-        "kalman_filter": _kalman_filter_nb,
-        "arma_forecast": _arma_forecast_nb,
-        "bootstrap_deviations": _bootstrap_deviations_nb,
-        "ets_recursion_batch": _ets_recursion_batch_nb,
-        "ets_mul_paths_batch": _ets_mul_paths_batch_nb,
-        "tbats_filter_batch": _tbats_filter_batch_nb,
-        "kalman_filter_batch": _kalman_filter_batch_nb,
-        "arma_forecast_batch": _arma_forecast_batch_nb,
-        "bootstrap_deviations_batch": _bootstrap_deviations_batch_nb,
-    }
-
-
-# ---------------------------------------------------------------------------
-# Backend selection and instrumentation
-# ---------------------------------------------------------------------------
-def available_backends() -> tuple[str, ...]:
-    return ("numpy", "numba") if NUMBA_AVAILABLE else ("numpy",)
-
-
-def _resolve(requested: str) -> str:
-    """Map a requested backend name onto an available one, gracefully."""
-    name = (requested or "auto").strip().lower()
-    if name == "numba" and not NUMBA_AVAILABLE:
-        return "numpy"  # graceful: the perf extra simply is not installed
-    if name in ("numpy", "numba"):
-        return name
-    # "auto" and anything unrecognised: best available.
-    return "numba" if NUMBA_AVAILABLE else "numpy"
-
-
-_ACTIVE_BACKEND = _resolve(os.environ.get(BACKEND_ENV, "auto"))
-_IMPL = dict(_NUMBA_IMPLS if _ACTIVE_BACKEND == "numba" else _NUMPY_IMPLS)
-
 _ALL_KERNEL_NAMES = KERNEL_NAMES + BATCHED_KERNEL_NAMES
 
 _CALLS = {name: 0 for name in _ALL_KERNEL_NAMES}
@@ -1124,117 +728,17 @@ _SECONDS = {name: 0.0 for name in _ALL_KERNEL_NAMES}
 #: Batch-size dimension of the counters: total rows (keys) pushed through
 #: each batched kernel. ``rows / calls`` is the mean cohort size.
 _ROWS = {name: 0 for name in BATCHED_KERNEL_NAMES}
-_WARM_RUNS = 0
-_CALLS_BEFORE_WARM = 0
-_WARMED = False
-
-
-def active_backend() -> str:
-    """The backend every kernel dispatches to (``"numpy"`` or ``"numba"``)."""
-    return _ACTIVE_BACKEND
-
-
-def set_backend(requested: str) -> str:
-    """Switch backends at runtime; returns the effective backend.
-
-    Requesting ``numba`` without numba installed falls back to ``numpy``
-    (same graceful rule as the import-time env selection). Switching
-    resets the warm flag — a fresh backend has fresh compilation state.
-    """
-    global _ACTIVE_BACKEND, _IMPL, _WARMED
-    effective = _resolve(requested)
-    if effective != _ACTIVE_BACKEND:
-        _ACTIVE_BACKEND = effective
-        _IMPL = dict(_NUMBA_IMPLS if effective == "numba" else _NUMPY_IMPLS)
-        _WARMED = False
-    return effective
-
-
-def is_warmed() -> bool:
-    return _WARMED
-
-
-def warm_compile() -> int:
-    """Run every active kernel once on tiny inputs; returns kernels warmed.
-
-    For the numba backend this triggers (or loads from cache) the JIT
-    compilation of every kernel, so the first real fit never pays it. For
-    the numpy backend the calls cost microseconds and simply validate the
-    dispatch table. Warm-up calls bypass the call/time counters.
-    """
-    global _WARMED, _WARM_RUNS
-    y = np.array([1.0, 2.0, 1.5, 2.5])
-    seasonal = np.array([0.5, -0.5])
-    _IMPL["ets_recursion"](y, True, 1, 2, 0.3, 0.1, 0.1, 0.97, 1.0, 0.0, seasonal)
-    _IMPL["ets_mul_paths"](
-        1.0, 0.0, np.array([1.0, 1.0]), 0.3, 0.1, 0.1, 0.97, True, 2, 0, np.zeros((2, 3))
-    )
-    rot = np.exp(-1j * np.array([0.5]))
-    gamma_vec = np.array([0.001 + 0.001j])
-    arma = np.array([0.1])
-    z0 = np.array([0.1 + 0.1j])
-    hist = np.zeros(1)
-    _IMPL["tbats_filter"](y, 0.1, 0.01, 0.98, True, rot, gamma_vec, arma, arma, 1.0, 0.0, z0, hist, hist)
-    _IMPL["tbats_paths"](
-        0.1, 0.01, 0.98, True, rot, gamma_vec, arma, arma, 1.0, 0.0, z0, hist, hist, np.zeros((2, 3))
-    )
-    T = np.array([[0.5, 1.0], [0.0, 0.0]])
-    R = np.array([1.0, 0.3])
-    RRt = np.outer(R, R)
-    _IMPL["kalman_filter"](y, T, RRt, np.eye(2))
-    _IMPL["arma_forecast"](np.array([1.0, -0.5]), np.array([1.0, 0.3]), np.array([1.0]), np.array([0.1]), 0.0, 3)
-    _IMPL["bootstrap_deviations"](np.array([1.0, 0.5]), np.zeros((2, 2)))
-    # Batched variants: a 2-row cohort exercises the vectorised path
-    # (batch 1 delegates to the per-key kernels warmed above).
-    two = np.array([0.0, 0.0])
-    _IMPL["ets_recursion_batch"](
-        np.vstack([y, y]), True, 1, 2,
-        np.array([0.3, 0.2]), np.array([0.1, 0.1]), np.array([0.1, 0.1]),
-        np.array([0.97, 0.97]), np.array([1.0, 1.0]), two, np.tile(seasonal, (2, 1)),
-    )
-    _IMPL["ets_mul_paths_batch"](
-        np.array([1.0, 1.0]), two, np.ones((2, 2)),
-        np.array([0.3, 0.2]), np.array([0.1, 0.1]), np.array([0.1, 0.1]),
-        np.array([0.97, 0.97]), True, 2, np.array([0, 1]), np.zeros((2, 2, 3)),
-    )
-    _IMPL["tbats_filter_batch"](
-        np.vstack([y, y]), np.array([0.1, 0.1]), np.array([0.01, 0.01]),
-        np.array([0.98, 0.98]), True, np.tile(rot, (2, 1)), np.tile(gamma_vec, (2, 1)),
-        np.tile(arma, (2, 1)), np.tile(arma, (2, 1)), np.array([1.0, 1.0]), two,
-        np.tile(z0, (2, 1)), np.tile(hist, (2, 1)), np.tile(hist, (2, 1)),
-    )
-    _IMPL["kalman_filter_batch"](
-        np.vstack([y, y]), np.tile(T, (2, 1, 1)), np.tile(RRt, (2, 1, 1)),
-        np.tile(np.eye(2), (2, 1, 1)),
-    )
-    _IMPL["arma_forecast_batch"](
-        np.tile(np.array([1.0, -0.5]), (2, 1)), np.tile(np.array([1.0, 0.3]), (2, 1)),
-        np.ones((2, 1)), np.full((2, 1), 0.1), two, 3,
-    )
-    _IMPL["bootstrap_deviations_batch"](np.tile(np.array([1.0, 0.5]), (2, 1)), np.zeros((2, 2, 2)))
-    _WARMED = True
-    _WARM_RUNS += 1
-    return len(_ALL_KERNEL_NAMES)
-
-
-def ensure_warm() -> None:
-    """Idempotent :func:`warm_compile` — the executor-layer entry point."""
-    if not _WARMED:
-        warm_compile()
 
 
 def stats_snapshot() -> dict[str, float]:
     """Monotonic per-process kernel counters.
 
     Keys: ``kernel_<name>_calls``, ``kernel_<name>_us`` (dispatch time in
-    microseconds), ``kernel_warm_runs`` and ``kernel_calls_before_warm``.
+    microseconds) and, for batched kernels, ``kernel_<name>_rows``.
     Deltas between snapshots are what the engine folds into
     :class:`~repro.engine.telemetry.RunTrace` counters.
     """
-    snap: dict[str, float] = {
-        "kernel_warm_runs": float(_WARM_RUNS),
-        "kernel_calls_before_warm": float(_CALLS_BEFORE_WARM),
-    }
+    snap: dict[str, float] = {}
     for name in _ALL_KERNEL_NAMES:
         snap[f"kernel_{name}_calls"] = float(_CALLS[name])
         snap[f"kernel_{name}_us"] = _SECONDS[name] * 1e6
@@ -1244,22 +748,15 @@ def stats_snapshot() -> dict[str, float]:
 
 
 def _reset_for_tests() -> None:
-    """Zero all counters and the warm flag (test isolation only)."""
-    global _WARM_RUNS, _CALLS_BEFORE_WARM, _WARMED
+    """Zero all counters (test isolation only)."""
     for name in _ALL_KERNEL_NAMES:
         _CALLS[name] = 0
         _SECONDS[name] = 0.0
     for name in BATCHED_KERNEL_NAMES:
         _ROWS[name] = 0
-    _WARM_RUNS = 0
-    _CALLS_BEFORE_WARM = 0
-    _WARMED = False
 
 
 def _timed(name: str, args: tuple):
-    global _CALLS_BEFORE_WARM
-    if not _WARMED:
-        _CALLS_BEFORE_WARM += 1
     started = time.perf_counter()
     out = _IMPL[name](*args)
     _SECONDS[name] += time.perf_counter() - started
@@ -1306,8 +803,8 @@ def ets_mul_paths(level0, trend0, seasonal0, alpha, beta, gamma, phi, use_trend,
     """Simulate the multiplicative-seasonal recursion for all shock paths.
 
     ``shocks`` is ``(n_paths, horizon)`` of pre-drawn Gaussian innovations
-    (drawing them outside the kernel keeps both backends on the identical
-    random stream); returns the simulated values, same shape.
+    (drawn by the caller, so the kernel holds no random state); returns
+    the simulated values, same shape.
     """
     return _timed(
         "ets_mul_paths",
@@ -1429,8 +926,8 @@ def bootstrap_deviations(psi, shocks):
 # become (B, m) blocks. Cohort-wide structure (trend/seasonal flags,
 # period, ARMA orders, horizon) stays scalar — rows that differ in
 # structure belong in different cohorts. Every batched kernel is
-# bit-identical, row for row, to B calls of its per-key sibling on both
-# backends; a batch of one simply delegates to the per-key kernel.
+# bit-identical, row for row, to B calls of its per-key sibling; a batch
+# of one simply delegates to the per-key kernel.
 # ---------------------------------------------------------------------------
 def ets_recursion_batch(y, use_trend, seasonal_mode, period, alpha, beta, gamma, phi, level0, trend0, seasonal0):
     """Batched :func:`ets_recursion`: ``y`` is ``(B, n)``, params ``(B,)``.

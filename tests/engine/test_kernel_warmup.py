@@ -1,11 +1,10 @@
-"""Worker warm-compile coverage: JIT cost is paid at init, never in a task.
+"""Kernel-counter transport: every dispatch reaches the run trace once.
 
-The contract under test (see ``repro.engine.kernels``): pool workers run
-:func:`repro.models.kernels.warm_compile` in their initializer, so the
-first scored candidate never pays compilation; the serial executor warms
-in-process before its first task; and the warm-up itself is visible in
-``RunTrace`` counters as ``kernel_warm_runs`` with
-``kernel_calls_before_warm`` staying at zero.
+The contract under test (see ``repro.engine.kernels``): pool workers
+report their kernel-counter deltas with each completed chunk, measured
+from a baseline taken in the worker initializer; in-process work is
+charged by the pipeline's before/after snapshot; and the trace renders
+the counters as one ``kernels[numpy]: …`` summary line.
 """
 
 import numpy as np
@@ -20,10 +19,8 @@ from repro.selection import CandidateSpec, evaluate_grid
 
 @pytest.fixture
 def fresh_kernel_counters():
-    """Zero the process-wide kernel counters; leave the module warm after."""
+    """Zero the process-wide kernel counters."""
     kernels._reset_for_tests()
-    yield
-    kernels.ensure_warm()
 
 
 def _workload() -> tuple[TimeSeries, TimeSeries]:
@@ -42,38 +39,34 @@ SPECS = [
 ]
 
 
-def test_pool_workers_warm_at_init_not_inside_first_task(fresh_kernel_counters):
+def test_active_backend_is_numpy():
+    # The benchmark harness records this in its environment line.
+    assert engine_kernels.active_backend() == "numpy"
+
+
+def test_pool_worker_counters_reach_trace(fresh_kernel_counters):
     train, test = _workload()
     trace = RunTrace()
-    # The pool forks lazily inside evaluate_grid, i.e. after the counter
-    # reset above, so every worker starts cold and must warm in its
-    # initializer for the assertions below to hold.
     with PoolExecutor(max_workers=2) as pool:
         results = evaluate_grid(SPECS, train, test, maxiter=10, executor=pool, trace=trace)
     assert any(not r.failed for r in results)
-    # Each reporting worker warmed exactly once, at init...
-    assert trace.counters.get("kernel_warm_runs", 0) >= 1
-    # ...and no kernel dispatch ever ran against a cold backend.
-    assert trace.counters.get("kernel_calls_before_warm", 0) == 0
     # The grid's forecast path went through the kernels and was counted.
     assert trace.counters.get("kernel_arma_forecast_calls", 0) > 0
     assert trace.counters.get("kernel_arma_forecast_us", 0) > 0
 
 
-def test_serial_executor_warms_before_first_task(fresh_kernel_counters):
+def test_forked_workers_do_not_report_inherited_counters():
+    # Parent-process kernel work before the pool exists: a forked worker
+    # inherits these counters and must not charge them to the grid.
+    psi = np.array([1.0, 0.5, 0.25])
+    for _ in range(500):
+        kernels.bootstrap_deviations(psi, np.ones((2, 3)))
     train, test = _workload()
     trace = RunTrace()
-    results = evaluate_grid(
-        SPECS, train, test, maxiter=10, executor=SerialExecutor(), trace=trace
-    )
-    assert any(not r.failed for r in results)
-    # Serial work runs in this process: the executor must have warmed the
-    # kernels before dispatching the first candidate.
-    snap = kernels.stats_snapshot()
-    assert kernels.is_warmed()
-    assert snap["kernel_warm_runs"] >= 1
-    assert snap["kernel_calls_before_warm"] == 0
-    assert snap["kernel_arma_forecast_calls"] > 0
+    with PoolExecutor(max_workers=2) as pool:
+        evaluate_grid(SPECS, train, test, maxiter=10, executor=pool, trace=trace)
+    assert trace.counters.get("kernel_arma_forecast_calls", 0) > 0
+    assert trace.counters.get("kernel_bootstrap_deviations_calls", 0) == 0
 
 
 def test_serial_counters_flow_through_pipeline_snapshot(fresh_kernel_counters):
@@ -86,26 +79,15 @@ def test_serial_counters_flow_through_pipeline_snapshot(fresh_kernel_counters):
     trace = RunTrace()
     engine_kernels.absorb_delta(trace, moved)
     assert trace.counters.get("kernel_arma_forecast_calls", 0) > 0
-    assert trace.counters.get("kernel_warm_runs", 0) == 1
 
 
 def test_trace_renders_kernel_summary_line(fresh_kernel_counters):
     trace = RunTrace()
-    trace.set_info("kernel_backend", kernels.active_backend())
+    trace.set_info("kernel_backend", engine_kernels.active_backend())
     trace.count("kernel_arma_forecast_calls", 12)
     trace.count("kernel_arma_forecast_us", 3400)
-    trace.count("kernel_warm_runs", 2)
     lines = trace.summary_lines()
     kernel_lines = [ln for ln in lines if ln.startswith("kernels[")]
-    assert len(kernel_lines) == 1
-    line = kernel_lines[0]
-    assert kernels.active_backend() in line
-    assert "arma_forecast:12" in line
+    assert kernel_lines == ["kernels[numpy]: arma_forecast:12 (0.00s)"]
     # Kernel counters stay out of the generic counts line.
     assert not any("kernel_" in ln for ln in lines if not ln.startswith("kernels["))
-
-
-def test_warm_worker_init_is_idempotent(fresh_kernel_counters):
-    engine_kernels.warm_worker_init()
-    engine_kernels.warm_worker_init()
-    assert kernels.stats_snapshot()["kernel_warm_runs"] == 1

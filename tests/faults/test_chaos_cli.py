@@ -36,6 +36,12 @@ class TestParsing:
         err = capsys.readouterr().err
         assert "agent-flap" in err  # the error lists what is available
 
+    def test_negative_shards_errors(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", "--scenario", "agent-flap", "--shards", "-2"])
+        assert exc.value.code == 2
+        assert "--shards" in capsys.readouterr().err
+
 
 class TestRun:
     def test_survival_report_and_artifact(self, tmp_path, capsys):

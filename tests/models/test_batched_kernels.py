@@ -6,12 +6,9 @@ close: the scheduler's cohort dispatch promises byte-identical advisories
 across dispatch modes, and that promise bottoms out here. Hypothesis
 drives the small-batch shapes (including the B == 1 delegation path); a
 fixed B = 256 case pins the wide-cohort path the benchmarks exercise.
-The numba legs (when the perf extra is installed) must agree with the
-same references bit for bit as well.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -23,20 +20,8 @@ from repro.models.kalman import (
     stationary_initialisation,
 )
 
-needs_numba = pytest.mark.skipif(
-    not kernels.NUMBA_AVAILABLE, reason="numba (the perf extra) is not installed"
-)
-
 BATCHES = st.sampled_from([1, 3, 17])
 SEEDS = st.integers(min_value=0, max_value=2**31 - 1)
-
-
-@pytest.fixture
-def restore_backend():
-    before = kernels.active_backend()
-    yield
-    kernels.set_backend(before)
-    kernels.ensure_warm()
 
 
 def exact(a, b):
@@ -146,7 +131,7 @@ def _bootstrap_inputs(seed, B, P=16, H=12):
 
 
 # ---------------------------------------------------------------------------
-# Row-for-row parity checks (shared by the hypothesis and numba legs).
+# Row-for-row parity checks (shared by the hypothesis and wide-cohort tests).
 # ---------------------------------------------------------------------------
 def check_ets_recursion(seed, B, seasonal_mode, use_trend):
     args = _ets_inputs(seed, B, seasonal_mode, use_trend)
@@ -373,17 +358,3 @@ def test_batched_names_registered():
     for name in kernels.BATCHED_KERNEL_NAMES:
         assert f"kernel_{name}_calls" in snap
         assert f"kernel_{name}_rows" in snap
-
-
-# ---------------------------------------------------------------------------
-# Numba leg: identical parity guarantees on the compiled backend.
-# ---------------------------------------------------------------------------
-@needs_numba
-def test_batched_parity_on_numba(restore_backend):
-    kernels.set_backend("numba")
-    kernels.ensure_warm()
-    check_ets_recursion(43, 9, 2, True)
-    check_ets_recursion(43, 1, 1, False)
-    for check in ALL_CHECKS:
-        check(43, 9)
-        check(43, 1)

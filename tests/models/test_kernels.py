@@ -1,34 +1,20 @@
-"""Parity suite for the compiled numeric kernels.
+"""Parity suite for the numeric kernels.
 
 Every kernel in :mod:`repro.models.kernels` must agree with an inlined
 reference implementation — a verbatim copy of the per-timestep loop the
 kernel replaced — to ≤1e-9 relative tolerance over hypothesis-generated
-inputs, on every available backend. Guard behaviour (non-finite inputs,
-divergent recursions) must also match: objectives must see a non-finite
-SSE / a failed filter exactly where the old loops produced one.
+inputs. Guard behaviour (non-finite inputs, divergent recursions) must
+also match: objectives must see a non-finite SSE / a failed filter
+exactly where the old loops produced one.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.models import kernels
 
 RTOL = 1e-9
-
-needs_numba = pytest.mark.skipif(
-    not kernels.NUMBA_AVAILABLE, reason="numba (the perf extra) is not installed"
-)
-
-
-@pytest.fixture
-def restore_backend():
-    before = kernels.active_backend()
-    yield
-    kernels.set_backend(before)
-    kernels.ensure_warm()
-
 
 def _series(seed: int, n: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
@@ -240,7 +226,7 @@ def kalman_args(seed, n, phi_coef, theta_coef):
 
 
 # ---------------------------------------------------------------------------
-# Kernel vs reference parity (active backend, whatever it is)
+# Kernel vs reference parity
 # ---------------------------------------------------------------------------
 @settings(max_examples=25, deadline=None)
 @given(
@@ -424,8 +410,8 @@ def test_ets_recursion_nonfinite_input_yields_nonfinite_sse():
 
 def test_ets_recursion_divergence_yields_nonfinite_sse():
     # Multiplicative seasonal with a collapsed seasonal state: y/denom
-    # overflows the recursion on any backend; both must surface a
-    # non-finite SSE rather than raising.
+    # overflows the recursion, which must surface a non-finite SSE
+    # rather than raising.
     y = np.full(10, 1e300)
     args = (y, False, 2, 2, 0.5, 0.0, 0.1, 1.0, 1.0, 0.0, np.zeros(2))
     errors, level, *_ = kernels.ets_recursion(*args)
@@ -461,25 +447,8 @@ def test_kalman_filter_rejects_nonpositive_variance():
 
 
 # ---------------------------------------------------------------------------
-# Backend selection, fallback, dispatch counters
+# Dispatch counters
 # ---------------------------------------------------------------------------
-def test_backend_resolution_fallback(restore_backend):
-    assert kernels.set_backend("numpy") == "numpy"
-    if kernels.NUMBA_AVAILABLE:
-        assert kernels.set_backend("numba") == "numba"
-        assert kernels.set_backend("auto") == "numba"
-    else:
-        # Graceful fallback: asking for numba without the perf extra
-        # quietly lands on numpy rather than crashing.
-        assert kernels.set_backend("numba") == "numpy"
-        assert kernels.set_backend("auto") == "numpy"
-    assert kernels.set_backend("definitely-not-a-backend") in ("numpy", "numba")
-
-
-def test_available_backends_always_lists_numpy():
-    assert "numpy" in kernels.available_backends()
-
-
 def test_dispatch_counts_calls_and_time():
     before = kernels.stats_snapshot()
     y = _series(5, 50)
@@ -490,76 +459,3 @@ def test_dispatch_counts_calls_and_time():
     assert after["kernel_bootstrap_deviations_calls"] == before["kernel_bootstrap_deviations_calls"] + 1
     assert after["kernel_ets_recursion_calls"] == before["kernel_ets_recursion_calls"] + 1
     assert after["kernel_ets_recursion_us"] >= before["kernel_ets_recursion_us"]
-
-
-def test_warm_compile_idempotent_and_counted():
-    kernels.ensure_warm()
-    snap1 = kernels.stats_snapshot()
-    kernels.ensure_warm()  # second call must be a no-op
-    snap2 = kernels.stats_snapshot()
-    assert snap1["kernel_warm_runs"] >= 1
-    assert snap2["kernel_warm_runs"] == snap1["kernel_warm_runs"]
-
-
-# ---------------------------------------------------------------------------
-# Cross-backend agreement (requires the perf extra)
-# ---------------------------------------------------------------------------
-@needs_numba
-def test_numba_matches_numpy_on_every_kernel(restore_backend):
-    cases = {
-        "ets_recursion": ets_args(7, 60, True, 2, 0.3, 0.1, 0.1, 0.97),
-        "tbats_filter": tbats_args(7, 60, True, 3, 1, 1),
-        "kalman_filter": kalman_args(7, 80, 0.6, -0.3),
-        "arma_forecast": (
-            np.array([1.0, -0.6, 0.08]),
-            np.array([1.0, 0.4]),
-            np.array([48.0, 52.0]),
-            np.array([0.3]),
-            1.2,
-            24,
-        ),
-        "bootstrap_deviations": (
-            np.array([1.0, 0.5, 0.25, 0.125]),
-            np.random.default_rng(0).normal(0, 1, (50, 4)),
-        ),
-    }
-    results = {}
-    for backend in ("numpy", "numba"):
-        kernels.set_backend(backend)
-        kernels.ensure_warm()
-        results[backend] = {
-            name: getattr(kernels, name)(*args) for name, args in cases.items()
-        }
-    for name in cases:
-        a, b = results["numpy"][name], results["numba"][name]
-        if isinstance(a, tuple):
-            for x, y in zip(a, b):
-                np.testing.assert_allclose(np.asarray(x), np.asarray(y), rtol=RTOL, atol=1e-12)
-        else:
-            np.testing.assert_allclose(a, b, rtol=RTOL, atol=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# Identical grid winners across backends (reduced grid)
-# ---------------------------------------------------------------------------
-def test_reduced_grid_winner_identical_across_backends(restore_backend):
-    from repro.core import Frequency, TimeSeries
-    from repro.selection import evaluate_grid, sarimax_grid
-
-    y = _series(11, 160)
-    series = TimeSeries(y, Frequency.HOURLY, name="parity")
-    train, test = series.split(140)
-    specs = sarimax_grid(24, max_lag=4)[::6][:8]
-
-    leaderboards = {}
-    for backend in kernels.available_backends():
-        kernels.set_backend(backend)
-        kernels.ensure_warm()
-        results = evaluate_grid(specs, train, test, maxiter=15)
-        leaderboards[backend] = [(r.spec, round(r.rmse, 9)) for r in results]
-    baseline = leaderboards["numpy"]
-    for backend, board in leaderboards.items():
-        assert [s for s, __ in board] == [s for s, __ in baseline], backend
-        np.testing.assert_allclose(
-            [v for __, v in board], [v for __, v in baseline], rtol=1e-9
-        )

@@ -166,6 +166,28 @@ class TestStream:
         with pytest.raises(SystemExit):
             main(["stream", "--days", "2", "--threshold", "cpu:90"])
 
+    def test_stream_negative_shards_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["stream", "--days", "2", "--shards", "-2"])
+        assert exc.value.code == 2
+        assert "--shards" in capsys.readouterr().err
+
+
+class TestPlan:
+    def test_plan_zero_shards_rejected(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(
+                [
+                    "plan",
+                    "--db", str(tmp_path / "x.db"),
+                    "--threshold", "cpu=90",
+                    "--shards", "0",
+                ]
+            )
+        assert exc.value.code == 2
+        assert "--shards" in capsys.readouterr().err
+        assert not (tmp_path / "x.db").exists()  # rejected before any work
+
 
 class TestRoundTripCsv:
     def test_missing_values_roundtrip(self, tmp_path):
