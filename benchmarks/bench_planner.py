@@ -1,17 +1,13 @@
-"""Provisioning planner throughput and beam behaviour.
+"""Provisioning planner throughput.
 
 The planner's operational promise is that estate-wide re-planning is
 cheap enough to run on every trigger, not on a quarterly spreadsheet
 cycle: blueprint enumeration is bounded per instance, scoring is a few
-vectorised band operations, and the beam visits instances once. This
-bench pins numbers on that promise:
-
-* planner scaling — full estate plans per second at 100 and 1 000
-  instances (mixed calm/breaching demands plus consolidation groups),
-  the headline CI tracks;
-* beam-width sweep — wall time and plan quality (total composite) as
-  the beam widens, confirming width buys quality sub-linearly while
-  cost stays near-linear.
+vectorised band operations, and the exact plan takes one argmin per
+instance or co-location group. This bench pins numbers on that promise:
+full estate plans per second at 100 and 1 000 instances (mixed
+calm/breaching demands plus consolidation groups), the headline CI
+tracks.
 
 Results are printed as a paper-style table and written machine-readable
 to ``benchmarks/output/BENCH_planner.json`` for CI trend tracking. Set
@@ -35,7 +31,6 @@ BENCH_JSON = "BENCH_planner.json"
 
 HORIZON = 24
 REPEATS = 3 if REDUCED else 10
-SWEEP_INSTANCES = 100 if REDUCED else 200
 
 
 def _write_bench_json(section: str, payload: dict) -> None:
@@ -73,12 +68,12 @@ def _estate(n: int, seed: int = 0) -> list[InstanceDemand]:
     return demands
 
 
-def _time_plan(demands, beam_width=4, repeats=REPEATS):
+def _time_plan(demands, repeats=REPEATS):
     best = float("inf")
     plan = None
     for _ in range(repeats):
         t0 = time.perf_counter()
-        plan = plan_estate(demands, beam_width=beam_width, seed=0)
+        plan = plan_estate(demands)
         best = min(best, time.perf_counter() - t0)
     return plan, best
 
@@ -88,7 +83,7 @@ def test_planner_scaling():
         ["Instances", "Choices", "Seconds/plan", "Plans/s", "Instances/s"],
         title="Estate planning throughput",
     )
-    payload = {"reduced": REDUCED, "beam_width": 4, "repeats": REPEATS}
+    payload = {"reduced": REDUCED, "repeats": REPEATS}
     for n in (100, 1000):
         demands = _estate(n)
         plan, elapsed = _time_plan(demands)
@@ -110,33 +105,7 @@ def test_planner_scaling():
     print()
     table.print()
     _write_bench_json("planner_scaling", payload)
-    # Re-planning an estate must stay interactive, even on CI boxes.
+    # Re-planning an estate must stay interactive, even on CI boxes: at
+    # most 5 s for a 1 000-instance plan.
     assert payload["plans_per_second_100"] > 1.0
-
-
-def test_beam_width_sweep():
-    demands = _estate(SWEEP_INSTANCES, seed=1)
-    table = Table(
-        ["Beam width", "Seconds/plan", "Total composite", "P(breach)"],
-        title=f"Beam-width sweep ({SWEEP_INSTANCES} instances)",
-    )
-    payload = {"reduced": REDUCED, "instances": SWEEP_INSTANCES}
-    composites = {}
-    for width in (1, 2, 4, 8):
-        plan, elapsed = _time_plan(demands, beam_width=width)
-        composites[width] = plan.total_composite
-        table.add_row(
-            [
-                str(width),
-                f"{elapsed:.3f}",
-                f"{plan.total_composite:.2f}",
-                f"{plan.breach_probability:.1%}",
-            ]
-        )
-        payload[f"wall_seconds_{width}"] = elapsed
-        payload[f"total_composite_{width}"] = plan.total_composite
-    print()
-    table.print()
-    _write_bench_json("beam_width", payload)
-    # Widening the beam never worsens the plan (it strictly explores more).
-    assert composites[8] <= composites[1] + 1e-9
+    assert payload["plans_per_second_1000"] > 0.2

@@ -11,8 +11,10 @@ over a small synthetic estate:
 2. enumerate and score the candidate blueprints for the hot instance,
    showing the composite trade-off between breach probability, cost and
    over-provisioning;
-3. run the deterministic estate beam (`plan_estate`) and print the
-   chosen plan — including the rack pair consolidating onto one box;
+3. plan the estate exactly (`plan_estate`: the best blueprint per
+   instance, or per rack when consolidating beats the members apart)
+   and print the plan — including the rack pair consolidating onto one
+   box;
 4. replay a breaching poll stream through `StreamRuntime` with
    `planning=True`, showing a sustained forecast breach escalating into
    a `PlanProposal` on the alert channel.
@@ -71,8 +73,8 @@ for blueprint, score in rank_blueprints(candidates, [estate[0]]):
     print(f"  {blueprint.describe():42s} {score.describe()}")
 
 print()
-print("=== Estate plan (deterministic beam, seed 0) ===")
-plan = plan_estate(estate, beam_width=4, seed=0)
+print("=== Estate plan (exact, one argmin per block) ===")
+plan = plan_estate(estate)
 for line in plan.describe_lines():
     print(f"  {line}")
 

@@ -16,8 +16,8 @@ Figure 4 characterisation (stationarity, seasonality, shocks, faults);
 ``forecast`` runs the self-selection pipeline and renders a Figure 8-style
 panel; ``advise`` produces the estate report across every stored metric;
 ``plan`` turns those forecasts into a one-shot estate provisioning plan
-(catalog blueprints scored against the forecast bands, joined by a
-deterministic beam search); ``chaos`` runs a named fault-injection
+(catalog blueprints scored against the forecast bands, the best one
+taken per instance or co-location group); ``chaos`` runs a named fault-injection
 scenario (``repro chaos --list``) against the synthetic estate and
 prints a deterministic survival report.
 
@@ -341,11 +341,13 @@ def _cmd_plan(args, parser) -> int:
     if not demands:
         print("no modelled workloads to plan (selection failed everywhere)")
         return 1
-    # Bottom-up reconciliation: cluster/estate rollups are exact sums of
-    # the per-instance forecasts the beam consumes, so the printed peaks
-    # are coherent with the plan by construction.
+    # Bottom-up reconciliation: cluster/estate rollup means are exact
+    # sums of the per-instance forecasts the planner consumes, but their
+    # upper bands combine member half-widths by RSS, while consolidation
+    # scoring sums the members' upper bands, so a cluster's printed upper
+    # peak can sit below the band its consolidation is graded against.
     reconciled = reconcile(demands, clusters=_parse_clusters(args.cluster, parser) or None)
-    plan = plan_estate(reconciled.demands, beam_width=args.beam_width, seed=args.seed)
+    plan = plan_estate(reconciled.demands)
     for line in reconciled.describe_lines():
         print(line)
     for line in plan.describe_lines():
@@ -651,8 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="catalog tier every instance currently runs on (default: smallest)",
     )
-    p_plan.add_argument("--beam-width", type=int, default=4)
-    p_plan.add_argument("--seed", type=int, default=0, help="beam tie-break seed")
     p_plan.add_argument(
         "--cluster",
         action="append",

@@ -4,15 +4,14 @@ The paper's end goal — "what resource capacity do I need in the next 6
 months to a year?" — answered as a subsystem: enumerate candidate
 provisioning blueprints (:mod:`~repro.planner.blueprint`), score them
 against the forecast distributions the models already produce
-(:mod:`~repro.planner.scoring`), search the estate-level joint space
-with a deterministic beam (:mod:`~repro.planner.beam`), and decide
+(:mod:`~repro.planner.scoring`), pick the exact best estate plan block
+by block (:mod:`~repro.planner.estate`), and decide
 *when* to re-plan from streaming trigger evidence
 (:mod:`~repro.planner.triggers`). :mod:`~repro.planner.escalation`
 closes the loop inside the stream: sustained or escalated breaches
 become :class:`PlanProposal` events on the alert channel.
 """
 
-from .beam import EstatePlan, PlanChoice, plan_estate
 from .blueprint import (
     DEFAULT_CATALOG,
     Blueprint,
@@ -25,6 +24,7 @@ from .blueprint import (
     tier_named,
 )
 from .escalation import RESOLVED_PROBABILITY, PlanEscalator, PlanProposal
+from .estate import EstatePlan, PlanChoice, plan_estate
 from .reconcile import ReconciledEstate, ReconciledLevel, combine_bands, reconcile
 from .scoring import (
     BlueprintScore,

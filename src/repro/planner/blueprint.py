@@ -139,7 +139,7 @@ class Blueprint:
         return self.tier.shape.amount(dimension) * self.replicas
 
     def slug(self) -> str:
-        """Stable identity string — the beam's deterministic tie-break key."""
+        """Stable identity string — the planner's deterministic tie-break key."""
         return (
             f"{self.kind.value}:{'+'.join(self.instances)}"
             f":{self.tier.name}x{self.replicas}"

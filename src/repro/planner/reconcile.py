@@ -19,9 +19,9 @@ aggregating the instances directly.
 
 :func:`reconcile` consumes the :class:`~repro.planner.scoring.InstanceDemand`
 list that :func:`~repro.planner.scoring.demands_from_entries` produces,
-so ``repro plan`` can report estate-consistent peaks next to the beam's
-per-instance choices, and an explicit cluster map doubles as the beam's
-co-location grouping (clustered demands gain a ``group`` label, which
+so ``repro plan`` can report estate-consistent peaks next to the
+planner's per-instance choices, and an explicit cluster map doubles as
+the planner's co-location grouping (clustered demands gain a ``group`` label, which
 unlocks CONSOLIDATE candidates).
 """
 
@@ -144,7 +144,7 @@ def reconcile(
     """Run the bottom-up pass over per-instance demands.
 
     ``clusters`` maps instance → cluster name. When given, each covered
-    demand's ``group`` is set to its cluster so the planner beam offers
+    demand's ``group`` is set to its cluster so the planner offers
     consolidation within it; uncovered demands keep their own ``group``
     (or fall into a ``"default"`` cluster). When omitted, existing
     ``group`` labels define the clustering and demands pass through

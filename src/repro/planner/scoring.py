@@ -166,9 +166,10 @@ def score_blueprint(
     ``demands`` must be exactly the instances the blueprint covers — one
     for per-instance kinds, the whole co-location group for CONSOLIDATE
     (their bands are summed per metric, truncated to the shortest
-    horizon, because consolidated instances share the box). The cost
-    term is relative to ``reference_cost`` (defaults to the covered
-    instances' current hourly cost), so STAY always lands at 1.0.
+    horizon, because consolidated instances share the box; bands summed
+    together must share one ``alpha``). The cost term is relative to
+    ``reference_cost`` (defaults to the covered instances' current
+    hourly cost), so STAY always lands at 1.0.
     """
     if not demands:
         raise DataError("score_blueprint needs at least one demand")
@@ -186,10 +187,11 @@ def score_blueprint(
     survival = 1.0
     worst_headroom = math.inf
     worst_overprovision = 1.0
-    alpha = None
     for metric in metrics:
         parts = [d.bands[metric] for d in demands if metric in d.bands]
-        alpha = parts[0].alpha if alpha is None else alpha
+        alphas = {float(p.alpha) for p in parts}
+        if len(alphas) > 1:
+            raise DataError(f"cannot combine bands at mixed alphas {sorted(alphas)}")
         horizon = min(p.mean.size for p in parts)
         if horizon == 0:
             continue

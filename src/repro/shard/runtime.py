@@ -365,8 +365,6 @@ class ShardedRuntime:
     # ------------------------------------------------------------------
     def propose_plan(
         self,
-        beam_width: int = 4,
-        seed: int = 0,
         only_fired: bool = False,
         catalog=None,
         current_tier=None,
@@ -380,10 +378,11 @@ class ShardedRuntime:
         owns, plus its trigger-tracker export — merges the per-shard
         trigger state into one estate view
         (:meth:`~repro.planner.triggers.TriggerTracker.merged`), and
-        runs one deterministic beam over the merged demands. Because
-        shards partition keys disjointly and each key's model state is
+        plans the merged demands exactly
+        (:func:`~repro.planner.estate.plan_estate`). Because shards
+        partition keys disjointly and each key's model state is
         byte-identical to the single-process run, the returned
-        :class:`~repro.planner.beam.EstatePlan` is identical for every
+        :class:`~repro.planner.estate.EstatePlan` is identical for every
         shard count.
 
         ``only_fired`` restricts the plan to instances with at least one
@@ -396,7 +395,7 @@ class ShardedRuntime:
         cooldown to see everything currently in breach). Returns
         ``None`` when there is nothing to plan.
         """
-        from ..planner.beam import plan_estate
+        from ..planner.estate import plan_estate
         from ..planner.blueprint import DEFAULT_CATALOG
         from ..planner.scoring import ForecastBand, InstanceDemand
         from ..planner.triggers import TriggerPolicy, TriggerTracker
@@ -440,8 +439,6 @@ class ShardedRuntime:
         return plan_estate(
             demands,
             catalog=catalog,
-            beam_width=beam_width,
-            seed=seed,
             max_replicas=max_replicas,
         )
 

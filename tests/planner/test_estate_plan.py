@@ -1,5 +1,8 @@
-"""Tests for the deterministic estate-level beam search."""
+"""Tests for the exact estate planner."""
 
+import functools
+import itertools
+import math
 import os
 import subprocess
 import sys
@@ -7,6 +10,8 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import DataError
 from repro.planner import (
@@ -14,7 +19,10 @@ from repro.planner import (
     BlueprintKind,
     ForecastBand,
     InstanceDemand,
+    enumerate_blueprints,
+    enumerate_consolidations,
     plan_estate,
+    score_blueprint,
 )
 
 SMALL = DEFAULT_CATALOG[0]
@@ -25,11 +33,11 @@ def band(level, spread=2.0, n=24):
     return ForecastBand(mean=mean, upper=mean + spread)
 
 
-def demand(instance, level=20.0, capacity=26.0, group=None):
+def demand(instance, level=20.0, capacity=26.0, group=None, spread=2.0):
     return InstanceDemand(
         instance=instance,
         tier=SMALL,
-        bands={"cpu": band(level)},
+        bands={"cpu": band(level, spread)},
         capacities={"cpu": float(capacity)},
         group=group,
     )
@@ -83,16 +91,9 @@ class TestPlanEstate:
             sum(c.score.composite for c in plan.choices)
         )
 
-    def test_beam_width_one_still_covers_everything(self):
-        demands = [demand(f"db{i}", level=10.0 + i) for i in range(5)]
-        plan = plan_estate(demands, beam_width=1)
-        assert len(plan.choices) == 5
-
     def test_validation(self):
         with pytest.raises(DataError):
             plan_estate([])
-        with pytest.raises(DataError):
-            plan_estate([demand("a")], beam_width=0)
         with pytest.raises(DataError):
             plan_estate([demand("a"), demand("a")])
 
@@ -100,8 +101,8 @@ class TestPlanEstate:
 class TestDeterminism:
     def test_same_inputs_same_bytes(self):
         demands = [demand("a", 25.0), demand("b", 30.0), demand("c", 5.0)]
-        first = plan_estate(demands, seed=3).to_json()
-        second = plan_estate(demands, seed=3).to_json()
+        first = plan_estate(demands).to_json()
+        second = plan_estate(demands).to_json()
         assert first == second
 
     def test_demand_order_is_irrelevant(self):
@@ -110,13 +111,8 @@ class TestDeterminism:
         backward = plan_estate(list(reversed(demands))).to_json()
         assert forward == backward
 
-    def test_seed_recorded_in_payload(self):
-        plan = plan_estate([demand("a")], seed=17, beam_width=2)
-        assert plan.to_payload()["seed"] == 17
-        assert plan.to_payload()["beam_width"] == 2
-
     def test_bytes_stable_across_processes_and_hashseed(self):
-        """The tie-break is blake2b, never hash(): a plan's JSON must be
+        """Ties break on slugs, never hash(): a plan's JSON must be
         identical under different PYTHONHASHSEED values in fresh
         interpreters."""
         script = textwrap.dedent(
@@ -134,7 +130,7 @@ class TestDeterminism:
                 )
 
             demands = [demand("a", 25.0), demand("b", 30.0), demand("c", 5.0)]
-            print(plan_estate(demands, seed=3).to_json())
+            print(plan_estate(demands).to_json())
             """
         )
         outputs = []
@@ -150,3 +146,76 @@ class TestDeterminism:
             )
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
+
+
+def _brute_force_optimum(demands):
+    """Lowest total composite over every plan, by full enumeration.
+
+    A plan either consolidates each group of two or more members onto
+    one of its consolidation blueprints or gives every member one of
+    its own blueprints; every such combination is summed.
+    """
+
+    def composites(candidates, members):
+        return np.array([score_blueprint(bp, members).composite for bp in candidates])
+
+    own = {
+        d.instance: composites(enumerate_blueprints(d.instance, d.tier), [d]) for d in demands
+    }
+    groups = {}
+    for d in demands:
+        if d.group is not None:
+            groups.setdefault(d.group, []).append(d)
+    blocks = [members for members in groups.values() if len(members) >= 2]
+    best = math.inf
+    for fuse in itertools.product((False, True), repeat=len(blocks)):
+        options, fused = [], set()
+        for members, fused_here in zip(blocks, fuse):
+            if fused_here:
+                names = [m.instance for m in members]
+                options.append(composites(enumerate_consolidations(names), members))
+                fused.update(names)
+        options.extend(own[d.instance] for d in demands if d.instance not in fused)
+        best = min(best, float(functools.reduce(np.add.outer, options).min()))
+    return best
+
+
+class TestOptimality:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 60.0),
+                st.sampled_from([26.0, 52.0]),
+                st.sampled_from([None, "g0", "g1", "g2"]),
+            ),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    def test_matches_brute_force(self, specs):
+        demands = [
+            demand(f"i{k}", level=level, capacity=capacity, group=group, spread=3.0)
+            for k, (level, capacity, group) in enumerate(specs)
+        ]
+        plan = plan_estate(demands)
+        covered = sorted(i for c in plan.choices for i in c.blueprint.instances)
+        assert covered == sorted(d.instance for d in demands)
+        assert plan.total_composite == pytest.approx(_brute_force_optimum(demands), abs=1e-9)
+
+    def test_consolidation_beats_an_early_single_choice(self):
+        # The consolidation scores a hair above i1 alone, yet it covers i2
+        # too: only a comparison against the members' summed bests, not
+        # against any single member, picks it.
+        demands = [
+            demand("i0", level=23.9, group="q", spread=3.0),
+            demand("i1", level=39.2, group="r", spread=3.0),
+            demand("i2", level=39.5, group="r", spread=3.0),
+        ]
+        plan = plan_estate(demands)
+        assert [c.blueprint.slug() for c in plan.choices] == [
+            "scale-out:i0:t-smallx2",
+            "consolidate:i1+i2:t-largex1",
+        ]
+        assert plan.total_composite == pytest.approx(4.2165, abs=1e-4)
+        assert plan.total_composite == pytest.approx(_brute_force_optimum(demands), abs=1e-9)

@@ -111,6 +111,23 @@ class TestScoreBlueprint:
         # 20 + 20 demand against capacity 26: certain breach on one box
         assert score.breach_probability > 0.99
 
+    def test_consolidation_rejects_mixed_alphas(self):
+        # Summed upper bands built at different alphas sit at no single
+        # quantile, so no alpha can grade them.
+        a = demand("a", level=10.0, group="g")
+        b = InstanceDemand(
+            instance="b",
+            tier=SMALL,
+            bands={"cpu": ForecastBand(mean=band(10.0).mean, upper=band(10.0).upper, alpha=0.2)},
+            capacities={"cpu": 26.0},
+            group="g",
+        )
+        consolidated = by_kind(
+            enumerate_consolidations(["a", "b"]), BlueprintKind.CONSOLIDATE, tier=SMALL
+        )
+        with pytest.raises(DataError, match="mixed alphas"):
+            score_blueprint(consolidated, [a, b])
+
     def test_coverage_must_match(self):
         d = demand("db1")
         other = by_kind(enumerate_blueprints("db2", SMALL), BlueprintKind.STAY)

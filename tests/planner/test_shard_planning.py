@@ -138,7 +138,7 @@ class TestProposePlanParity:
         for n in (1, 2):
             sh, _ = sharded_run(n)
             try:
-                plan = sh.propose_plan(seed=11)
+                plan = sh.propose_plan()
                 assert plan is not None
                 plans.append(plan.to_json())
             finally:

@@ -128,7 +128,7 @@ class TestPlanDeterminism:
         assert runs[0] == runs[1]
         stdout, plan_json = runs[0]
         # Bottom-up reconciliation reported the cluster rollup, and the
-        # beam treated the clustered pair as a co-location group.
+        # planner treated the clustered pair as a co-location group.
         assert "cluster:core: 2 member(s)" in stdout
         assert "estate: 2 member(s)" in stdout
         assert "consolidate" in stdout
