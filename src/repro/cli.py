@@ -291,8 +291,6 @@ def _cmd_plan(args, parser) -> int:
     )
     from .shard.ring import HashRing
 
-    if args.shards < 1:
-        parser.error(f"--shards must be at least 1, got {args.shards}")
     thresholds = _parse_thresholds(args.threshold, parser)
     if not thresholds:
         parser.error("at least one --threshold METRIC=VALUE is required")
@@ -360,11 +358,9 @@ def _cmd_plan(args, parser) -> int:
 
 
 def _cmd_stream(args, parser) -> int:
-    from .service import SelectionCache
-    from .stream import ConsoleSink, StreamConfig, StreamRuntime
+    from .shard import ShardedRuntime
+    from .stream import StreamConfig
 
-    if args.shards < 0:
-        parser.error(f"--shards must be 0 (single process) or more, got {args.shards}")
     thresholds = _parse_thresholds(args.threshold, parser)
     metrics = [m.strip() for m in args.metric] if args.metric else ["cpu"]
     if args.experiment == "olap":
@@ -388,71 +384,29 @@ def _cmd_stream(args, parser) -> int:
         f"streaming {len(samples)} polls from experiment {args.experiment} "
         f"({len(run.instances)} instances, metrics: {', '.join(metrics)})"
     )
-
-    if args.shards > 0:
-        from .shard import ShardedRuntime
-
-        repo_url = f"{args.repo_backend}://" if args.repo_backend else None
-        with ShardedRuntime(
-            args.shards,
-            config=stream_config,
-            technique=args.technique,
-            racing=args.racing,
-            dayprofile=args.dayprofile,
-            repo_url=repo_url,
-        ) as sharded:
-            ticks = sharded.run(samples)
-            final = sharded.finish()
-            for tick in (*ticks, final):
-                for event in tick.refits:
-                    print(
-                        f"  model refit: {event.key} ({event.reason}) "
-                        f"at t={event.at:.0f}s"
-                    )
-            for event in sharded.events:
-                print(f"  {event.describe()}")
-            for proposal in sharded.proposals:
-                print(f"  {proposal.describe()}")
-            for line in sharded.summary_lines():
-                print(line)
-            for line in _data_plane_lines(sharded.telemetry()):
-                print(f"  {line}")
-            advisories = final.advisories or (ticks[-1].advisories if ticks else {})
-            for key in advisories:
-                print(f"  {key}: {advisories[key].describe()}")
-        return 0
-
-    planner = EstatePlanner(
-        config=AutoConfig(
-            technique=args.technique,
-            n_jobs=1,
-            racing=args.racing,
-            dayprofile=args.dayprofile,
-        ),
-        cache=SelectionCache(),
-    )
-    repository = None
-    if args.repo_backend:
-        from .agent import MetricsRepository
-
-        repository = MetricsRepository.open(f"{args.repo_backend}://")
-    runtime = StreamRuntime(
-        planner=planner,
+    repo_url = f"{args.repo_backend}://" if args.repo_backend else None
+    with ShardedRuntime(
+        args.shards,
         config=stream_config,
-        executor=default_executor(args.jobs),
-        sink=ConsoleSink(),
-        repository=repository,
-    )
-    ticks = runtime.run(samples)
-    final = runtime.finish()
-    for event in runtime.scheduler.refit_log:
-        print(f"  model refit: {event.key} ({event.reason}) at t={event.at:.0f}s")
-    for line in runtime.summary_lines():
-        print(line)
-    for line in _data_plane_lines(runtime.telemetry()):
-        print(f"  {line}")
+        technique=args.technique,
+        racing=args.racing,
+        dayprofile=args.dayprofile,
+        repo_url=repo_url,
+        processes=args.shards > 1,
+    ) as sharded:
+        ticks = sharded.run(samples)
+        final = sharded.finish()
+        for tick in (*ticks, final):
+            for refit in tick.refits:
+                print(f"  model refit: {refit.key} ({refit.reason}) at t={refit.at:.0f}s")
+            for event in (*tick.events, *tick.proposals):
+                print(f"  {event.describe()}")
+        for line in sharded.summary_lines():
+            print(line)
+        for line in _data_plane_lines(sharded.telemetry()):
+            print(f"  {line}")
     advisories = final.advisories or (ticks[-1].advisories if ticks else {})
-    for key in sorted(advisories):
+    for key in advisories:
         print(f"  {key}: {advisories[key].describe()}")
     return 0
 
@@ -460,8 +414,6 @@ def _cmd_stream(args, parser) -> int:
 def _cmd_chaos(args, parser) -> int:
     from .faults.scenarios import SCENARIOS, run_scenario
 
-    if args.shards < 0:
-        parser.error(f"--shards must be 0 (single process) or more, got {args.shards}")
     if args.list:
         for name in sorted(SCENARIOS):
             print(f"{name}: {SCENARIOS[name].description}")
@@ -473,15 +425,15 @@ def _cmd_chaos(args, parser) -> int:
             f"unknown scenario {args.scenario!r}; available: "
             + ", ".join(sorted(SCENARIOS))
         )
-    if args.shards > 0:
+    if args.shards > 1:
         print(f"sharded: {args.shards} worker processes, backend={args.repo_backend}")
     report = run_scenario(
         args.scenario,
         seed=args.seed,
-        jobs=args.jobs,
         days=args.days,
         shards=args.shards,
         repo_backend=args.repo_backend,
+        shard_processes=args.shards > 1,
     )
     print(report.render())
     if args.out:
@@ -494,6 +446,13 @@ def _cmd_chaos(args, parser) -> int:
 # ---------------------------------------------------------------------------
 # Parser
 # ---------------------------------------------------------------------------
+def _shard_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -596,7 +555,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="hourly windows before the first selection (default: 14 days)",
     )
     p_str.add_argument("--technique", choices=["auto", "sarimax", "hes"], default="hes")
-    p_str.add_argument("--jobs", type=int, default=1, help="selection fan-out workers")
     p_str.add_argument("--seed", type=int, default=0)
     p_str.add_argument("--racing", action="store_true")
     p_str.add_argument(
@@ -610,9 +568,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_str.add_argument(
         "--shards",
-        type=int,
-        default=0,
-        help="partition keys across N shard worker processes (0 = single process)",
+        type=_shard_count,
+        default=1,
+        help="partition keys across N shards (1 = inline in this process, "
+        "N > 1 = one worker process each)",
     )
     p_str.add_argument(
         "--repo-backend",
@@ -662,7 +621,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_plan.add_argument(
         "--shards",
-        type=int,
+        type=_shard_count,
         default=1,
         help="partition forecasting across N planners (plan bytes are identical at any N)",
     )
@@ -676,16 +635,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument("--scenario", help="scenario name (see --list)")
     p_chaos.add_argument("--list", action="store_true", help="list available scenarios")
     p_chaos.add_argument("--seed", type=int, default=0)
-    p_chaos.add_argument("--jobs", type=int, default=1, help="selection fan-out workers")
     p_chaos.add_argument(
         "--days", type=float, default=None, help="simulated days (default: scenario)"
     )
     p_chaos.add_argument("--out", help="write the survival report as JSON here")
     p_chaos.add_argument(
         "--shards",
-        type=int,
-        default=0,
-        help="run the stream on N shard worker processes (0 = single process)",
+        type=_shard_count,
+        default=1,
+        help="run the stream on N shards (1 = inline in this process, "
+        "N > 1 = one worker process each)",
     )
     p_chaos.add_argument(
         "--repo-backend",

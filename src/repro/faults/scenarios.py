@@ -4,8 +4,8 @@ Each :class:`ChaosScenario` pairs a :class:`~repro.faults.plan.FaultPlan`
 with the streaming deployment it attacks: a simulated OLTP cluster is
 polled by a hooked :class:`~repro.agent.agent.MonitoringAgent`, ingested
 into a hooked :class:`~repro.agent.repository.MetricsRepository`, then
-replayed through a :class:`~repro.stream.runtime.StreamRuntime` whose
-executor carries the scenario's :class:`~repro.engine.ExecutionPolicy`.
+replayed through a :class:`~repro.shard.runtime.ShardedRuntime` whose
+shard executors carry the scenario's :class:`~repro.engine.ExecutionPolicy`.
 The outcome is a :class:`SurvivalReport`: did the runtime keep emitting
 advisories (first-class or degraded) through the abuse?
 
@@ -241,42 +241,35 @@ def _reduced() -> bool:
 def run_scenario(
     name: str,
     seed: int = 0,
-    jobs: int = 1,
     days: float | None = None,
     dispatch: str = "cohort",
-    shards: int = 0,
+    shards: int = 1,
     repo_backend: str = "sqlite",
-    shard_processes: bool = True,
+    shard_processes: bool = False,
     planning: bool = False,
 ) -> SurvivalReport:
     """Run one named scenario end to end and grade its survival.
 
-    The whole deployment shares one :class:`FaultInjector` seeded with
-    ``seed``: agent hooks, repository write hooks, bus delivery hooks and
-    the executor's submit hook all draw from their own per-site streams
-    of that plan. ``jobs > 1`` fans re-selections out on a dedicated
-    (never the shared) pool executor. ``dispatch`` selects the
-    scheduler's grading mode (``"cohort"`` or ``"per-key"``); reports
-    are byte-identical across the two — only the counters in
-    ``_REPORT_COUNTERS`` are copied in, and every one of them is
-    dispatch-independent, which is exactly what the chaos parity suite
-    asserts.
+    The agent and the central repository run here, under an injector
+    seeded with ``seed``; the stream runs on a
+    :class:`~repro.shard.runtime.ShardedRuntime` of ``shards`` shards,
+    each of which rebuilds its own injector and serial executor from
+    the scenario's ``(rules, seed)``. Because the fault plan's RNG
+    streams are independent per ``(seed, site)``, the driver-consumed
+    sites (``agent.poll`` / ``agent.sample`` / ``repository.write``)
+    and the worker-consumed sites (``ingest.deliver`` /
+    ``executor.submit``) draw exactly the sequences one process would
+    have drawn, so fault totals stay comparable at any N.
+    ``shard_processes`` starts one worker process per shard instead of
+    running every shard inline in this process. ``repo_backend``
+    picks the central repository's storage engine (``sqlite`` or
+    ``duckdb``).
 
-    ``shards > 0`` runs the streaming half on a
-    :class:`~repro.shard.runtime.ShardedRuntime` instead: the agent and
-    the central repository stay at the driver under the driver's
-    injector, while each shard worker rebuilds its own injector and
-    executor from the scenario's ``(rules, seed)``. Because the fault
-    plan's RNG streams are independent per ``(seed, site)``, the
-    driver-consumed sites (``agent.poll`` / ``agent.sample`` /
-    ``repository.write``) and the worker-consumed sites
-    (``ingest.deliver`` / ``executor.submit``) draw exactly the
-    sequences the single-process run would have drawn — so a sharded
-    report at N=1 is byte-identical to the unsharded one, and fault
-    totals stay comparable at any N. ``jobs`` is ignored under sharding
-    (the workers are the parallelism; each runs a serial executor).
-    ``repo_backend`` picks the central repository's storage engine
-    (``sqlite`` or ``duckdb``) in either mode.
+    ``dispatch`` selects the scheduler's grading mode (``"cohort"`` or
+    ``"per-key"``); reports are byte-identical across the two — only
+    the counters in ``_REPORT_COUNTERS`` are copied in, and every one
+    of them is dispatch-independent, which is exactly what the chaos
+    parity suite asserts.
 
     ``planning`` turns the provisioning escalator on inside the runtime
     (:attr:`StreamConfig.planning`). Planning is observation-only — plan
@@ -285,13 +278,12 @@ def run_scenario(
     parity test asserts.
     """
     # Leaf-layer imports: this module is reached lazily from the package
-    # root precisely because these pull in the agent/stream/service stack.
+    # root precisely because these pull in the agent/stream/shard stack.
     from ..agent.agent import MonitoringAgent
     from ..agent.repository import MetricsRepository
-    from ..engine.executor import ExecutionPolicy, PoolExecutor, SerialExecutor
-    from ..selection.auto import AutoConfig
-    from ..service import EstatePlanner, SelectionCache
-    from ..stream.runtime import StreamConfig, StreamRuntime
+    from ..engine.telemetry import RunTrace
+    from ..shard import ShardedRuntime
+    from ..stream.runtime import StreamConfig
     from ..workloads.oltp import OltpExperiment, generate_oltp_run
 
     try:
@@ -315,43 +307,16 @@ def run_scenario(
         dispatch=dispatch,
         planning=planning,
     )
-
-    executor = None
-    runtime = None
-    sharded = None
-    if shards > 0:
-        from ..shard import ShardedRuntime
-
-        sharded = ShardedRuntime(
-            shards,
-            config=stream_config,
-            technique="hes",
-            n_jobs=1,
-            processes=shard_processes,
-            fault_rules=scenario.rules,
-            fault_seed=seed,
-            task_retries=scenario.task_retries,
-            retry_timed_out=scenario.retry_timed_out,
-        )
-    else:
-        policy = ExecutionPolicy(
-            task_retries=scenario.task_retries,
-            retry_timed_out=scenario.retry_timed_out,
-        )
-        if jobs > 1:
-            executor = PoolExecutor(max_workers=jobs, policy=policy, injector=injector)
-        else:
-            executor = SerialExecutor(policy=policy, injector=injector)
-        planner = EstatePlanner(
-            config=AutoConfig(technique="hes", n_jobs=1),
-            cache=SelectionCache(),
-        )
-        runtime = StreamRuntime(
-            planner=planner,
-            config=stream_config,
-            executor=executor,
-            injector=injector,
-        )
+    sharded = ShardedRuntime(
+        shards,
+        config=stream_config,
+        technique="hes",
+        processes=shard_processes,
+        fault_rules=scenario.rules,
+        fault_seed=seed,
+        task_retries=scenario.task_retries,
+        retry_timed_out=scenario.retry_timed_out,
+    )
 
     notes: list[str] = []
     agent = MonitoringAgent(seed=seed, injector=injector)
@@ -372,15 +337,11 @@ def run_scenario(
             repository.ingest(samples)
         except Exception as exc:
             notes.append(f"repository ingest gave up: {exc}")
-        driver = sharded if sharded is not None else runtime
-        all_ticks = driver.run(samples)
-        all_ticks.append(driver.finish())
+        all_ticks = sharded.run(samples)
+        all_ticks.append(sharded.finish())
         completed = True
     except Exception as exc:
         notes.append(f"runtime crashed: {type(exc).__name__}: {exc}")
-    finally:
-        if jobs > 1 and executor is not None:
-            executor.close()
 
     advisory_ticks = sum(1 for t in all_ticks if t.advisories)
     degraded_ticks = sum(
@@ -396,22 +357,16 @@ def run_scenario(
     )
     survived = completed and continuous
 
-    if sharded is not None:
-        try:
-            trace = sharded.telemetry()
-        except Exception as exc:
-            from ..engine.telemetry import RunTrace
-
-            trace = RunTrace()
-            notes.append(f"shard telemetry unavailable: {type(exc).__name__}: {exc}")
-        # The driver's injector (agent + repository sites) is not wired
-        # into any runtime, so its injected-fault counts are folded in
-        # here; the workers' injectors already arrived via shard
-        # telemetry. At N=1 the union equals the single-process totals.
-        trace.absorb_faults(injector.counters)
-        sharded.close()
-    else:
-        trace = runtime.telemetry()
+    try:
+        trace = sharded.telemetry()
+    except Exception as exc:
+        trace = RunTrace()
+        notes.append(f"shard telemetry unavailable: {type(exc).__name__}: {exc}")
+    sharded.close()
+    # The driver's injector (agent + repository sites) is not wired into
+    # the runtime, so its injected-fault counts are folded in here; the
+    # workers' injectors already arrived via shard telemetry.
+    trace.absorb_faults(injector.counters)
     trace.absorb_faults(agent.fault_counters)
     trace.absorb_faults(repository.fault_counters)
     counters = {

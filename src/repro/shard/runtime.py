@@ -23,10 +23,11 @@ four rules:
    single-process loop produces, because it already iterates advisories
    sorted and shards partition the key space disjointly.
 
-Ingest commands are pipelined ``pipeline_depth`` chunks deep per shard
+Ingest commands are pipelined ``_PIPELINE_DEPTH`` chunks deep per shard
 (SPSC FIFO queues guarantee reply order), which keeps workers busy while
 the router partitions the next chunks. ``processes=False`` runs every
 shard inline in this process — same protocol, zero IPC — which is the
+single-process mode of ``repro stream`` and ``repro chaos`` at N=1, the
 parity suite's fast path and the apples-to-apples baseline for the
 shard-scaling bench.
 """
@@ -58,6 +59,10 @@ __all__ = ["MergedTick", "ShardedRuntime"]
 #: Counters that must not be summed across shards: every shard ticks
 #: every global chunk, so the deployment-wide value is the max, not N×.
 _MAX_MERGED_COUNTERS = ("stream_ticks",)
+
+#: Ingest chunks in flight per shard before the control plane blocks on
+#: fan-in.
+_PIPELINE_DEPTH = 4
 
 
 @dataclass
@@ -138,10 +143,10 @@ class ShardedRuntime:
     config:
         The same :class:`~repro.stream.runtime.StreamConfig` a
         single-process runtime would take; every shard runs under it.
-    technique / n_jobs / customer:
+    technique / racing / dayprofile:
         Per-shard planner configuration (each worker owns its own
-        :class:`~repro.service.estate.EstatePlanner` and selection
-        cache).
+        serial :class:`~repro.service.estate.EstatePlanner` and
+        selection cache).
     repo_url:
         Repository URL template with an optional ``{shard}``
         placeholder; each worker opens its own partition so shards never
@@ -152,11 +157,6 @@ class ShardedRuntime:
     processes:
         ``True`` spawns one OS process per shard; ``False`` runs every
         shard inline (same protocol, deterministic, no IPC).
-    pipeline_depth:
-        Ingest chunks in flight per shard before the control plane
-        blocks on fan-in.
-    vnodes:
-        Ring smoothness (see :class:`~repro.shard.ring.HashRing`).
     mangle:
         Apply the seeded delivery model in :meth:`run`. ``False`` feeds
         samples exactly as given (benchmarks that pre-order their
@@ -168,22 +168,16 @@ class ShardedRuntime:
         n_shards: int,
         config: StreamConfig | None = None,
         technique: str = "hes",
-        n_jobs: int = 1,
         racing: bool = False,
         dayprofile: bool = False,
-        customer: str = "stream",
         repo_url: str | None = None,
         fault_rules: tuple[FaultRule, ...] = (),
         fault_seed: int = 0,
         task_retries: int | None = None,
         retry_timed_out: bool = False,
         processes: bool = True,
-        pipeline_depth: int = 4,
-        vnodes: int = 64,
         mangle: bool = True,
     ) -> None:
-        if pipeline_depth < 1:
-            raise DataError(f"pipeline_depth must be >= 1, got {pipeline_depth}")
         if repo_url is not None:
             # fail fast on unknown schemes / missing optional engines
             # here in the driver, not from a worker mid-boot
@@ -191,16 +185,13 @@ class ShardedRuntime:
 
             ensure_backend_available(repo_url)
         self.config = config or StreamConfig()
-        self.router = ShardRouter(n_shards, vnodes=vnodes)
+        self.router = ShardRouter(n_shards)
         self.processes = processes
-        self.pipeline_depth = int(pipeline_depth)
         self._plan_kwargs = dict(
             config=self.config,
             technique=technique,
-            n_jobs=n_jobs,
             racing=racing,
             dayprofile=dayprofile,
-            customer=customer,
             repo_url=repo_url,
             fault_rules=tuple(fault_rules),
             fault_seed=fault_seed,
@@ -342,7 +333,7 @@ class ShardedRuntime:
             for shard, part in zip(self._shards, parts):
                 shard.send(seq, "ingest", self._envelope(part, target))
             self._inflight.append(seq)
-            if len(self._inflight) >= self.pipeline_depth:
+            if len(self._inflight) >= _PIPELINE_DEPTH:
                 ticks.append(self._absorb(self._drain_one()))
         while self._inflight:
             ticks.append(self._absorb(self._drain_one()))

@@ -54,12 +54,10 @@ class ShardPlan:
     n_shards: int
     config: StreamConfig
     technique: str = "hes"
-    n_jobs: int = 1
     racing: bool = False
     #: Race day-profile candidates in this shard's selection grid (the
     #: config's own ``dayprofile`` flag governs the degradation ladder).
     dayprofile: bool = False
-    customer: str = "stream"
     repo_url: str | None = None
     fault_rules: tuple[FaultRule, ...] = ()
     fault_seed: int = 0
@@ -130,7 +128,7 @@ class ShardHandler:
         planner = EstatePlanner(
             config=AutoConfig(
                 technique=plan.technique,
-                n_jobs=plan.n_jobs,
+                n_jobs=1,
                 racing=plan.racing,
                 dayprofile=plan.dayprofile,
             ),

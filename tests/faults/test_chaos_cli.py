@@ -17,7 +17,7 @@ class TestParsing:
         args = build_parser().parse_args(["chaos", "--scenario", "agent-flap"])
         assert args.scenario == "agent-flap"
         assert args.seed == 0
-        assert args.jobs == 1
+        assert args.shards == 1
         assert args.out is None
 
     def test_scenario_listing(self, capsys):
@@ -39,6 +39,12 @@ class TestParsing:
     def test_negative_shards_errors(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["chaos", "--scenario", "agent-flap", "--shards", "-2"])
+        assert exc.value.code == 2
+        assert "--shards" in capsys.readouterr().err
+
+    def test_zero_shards_errors(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["chaos", "--scenario", "agent-flap", "--shards", "0"])
         assert exc.value.code == 2
         assert "--shards" in capsys.readouterr().err
 

@@ -1,18 +1,30 @@
 """Chaos under sharding: scenarios run unchanged with ``shards=N``.
 
 The survival report is the determinism contract's strongest form — at
-N=1 the sharded report must be byte-identical to the single-process one
-(same fault draws at every site, same advisories, same counters), and at
-N>1 the deployment must still survive its scenario.
+N=1 the sharded report must be byte-identical to the single-process
+:class:`~repro.stream.runtime.StreamRuntime` run (same fault draws at
+every site, same advisories, same counters), and at N>1 the deployment
+must still survive its scenario. The single-process reports are pinned
+as golden files under ``golden/`` (``report.to_json() + "\n"``, the
+bytes ``repro chaos --out`` writes), recorded from a run that drove one
+``StreamRuntime`` directly with a serial executor; the CI chaos-smoke
+job compares its artifact against ``golden/chaos-agent-flap-seed7.json``.
 
 Runs under the reduced grid for CI-sized spans.
 """
 
 import os
+from pathlib import Path
 
 import pytest
 
 from repro.faults.scenarios import run_scenario
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+def golden(scenario: str, seed: int) -> str:
+    return (GOLDEN / f"chaos-{scenario}-seed{seed}.json").read_text()
 
 
 @pytest.fixture(autouse=True)
@@ -22,14 +34,12 @@ def reduced_grid(monkeypatch):
 
 class TestShardedChaos:
     def test_agent_flap_n1_report_byte_identical(self):
-        base = run_scenario("agent-flap", seed=7)
         sharded = run_scenario("agent-flap", seed=7, shards=1, shard_processes=False)
-        assert sharded.to_json() == base.to_json()
+        assert sharded.to_json() + "\n" == golden("agent-flap", 7)
 
     def test_agent_flap_n1_process_mode_byte_identical(self):
-        base = run_scenario("agent-flap", seed=7)
         sharded = run_scenario("agent-flap", seed=7, shards=1, shard_processes=True)
-        assert sharded.to_json() == base.to_json()
+        assert sharded.to_json() + "\n" == golden("agent-flap", 7)
 
     def test_agent_flap_survives_two_shards(self):
         report = run_scenario("agent-flap", seed=7, shards=2, shard_processes=False)
@@ -60,6 +70,5 @@ class TestShardedChaosSweep:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("scenario", ["agent-flap", "nan-burst", "slow-selection"])
     def test_n1_identity_across_scenarios(self, scenario, seed):
-        base = run_scenario(scenario, seed=seed)
         sharded = run_scenario(scenario, seed=seed, shards=1, shard_processes=False)
-        assert sharded.to_json() == base.to_json()
+        assert sharded.to_json() + "\n" == golden(scenario, seed)

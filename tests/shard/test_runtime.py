@@ -43,8 +43,6 @@ class TestLifecycle:
     def test_validation(self):
         with pytest.raises(DataError):
             ShardedRuntime(0, processes=False)
-        with pytest.raises(DataError):
-            ShardedRuntime(2, processes=False, pipeline_depth=0)
         rt = ShardedRuntime(2, processes=False)
         with pytest.raises(DataError):
             rt.run([])

@@ -172,6 +172,35 @@ class TestStream:
         assert exc.value.code == 2
         assert "--shards" in capsys.readouterr().err
 
+    def test_stream_zero_shards_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["stream", "--days", "2", "--shards", "0"])
+        assert exc.value.code == 2
+        assert "--shards" in capsys.readouterr().err
+
+    def test_stream_plan_lines_identical_inline_and_across_processes(self, capsys):
+        argv = [
+            "stream",
+            "--days", "8",
+            "--min-observations", "96",
+            "--threshold", "cpu=18",
+            "--plan",
+        ]
+        outputs = {}
+        for shards in ("1", "2"):
+            assert main(argv + ["--shards", shards]) == 0
+            outputs[shards] = capsys.readouterr().out.splitlines()
+        assert "shards: 1 (inline)" in outputs["1"]
+        assert "shards: 2 (processes)" in outputs["2"]
+        inline, sharded = (
+            [line for line in out if not line.startswith("shards:")]
+            for out in outputs.values()
+        )
+        assert inline == sharded
+        for marker in (" RAISED ", " PLAN ", "model refit: "):
+            assert any(marker in line for line in inline), marker
+        assert any(line.startswith("plans: 7 proposals") for line in inline)
+
 
 class TestPlan:
     def test_plan_zero_shards_rejected(self, tmp_path, capsys):
